@@ -11,7 +11,6 @@ from .bench import (
     BenchRecord,
     BenchResult,
     SimDesign,
-    random_walk_mh,
     run_benchmark,
     simulate_dataset,
 )
@@ -63,6 +62,7 @@ from .samplers import (
     mh_run,
     mh_step,
     poisson_mle,
+    random_walk_mh,
     tau_optimal,
 )
 from .tuning import (

@@ -1,5 +1,6 @@
-"""Synthetic data generation, a random-walk MH baseline, and the
-time-per-independent-sample benchmark harness.
+"""Synthetic data generation and the time-per-independent-sample
+benchmark harness over PG-MH, PG-IS and the random-walk MH baseline
+(``random_walk_mh``, defined in ``samplers`` and re-exported here).
 
 Seeding scheme (pinned): all streams are NumPy PCG64 generators derived
 from ``SeedSequence([seed, n, p, replicate, slot])`` where slot 0 is data
@@ -11,33 +12,21 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import ess_vector
 from .errors import EstimationError, GenerationError, NumericError
-from .kernels import (
-    sample_gamma,
-    sample_halfcauchy,
-    sample_invgamma,
-    sample_normal,
-    sample_poisson,
-)
-from .model import Dataset, GaussianPriorParams, _log_poisson_from_eta, log_gaussian_prior
+from .model import Dataset, GaussianPriorParams
 from .samplers import (
-    ChainOutput,
     FixedGaussianPrior,
     HorseshoePrior,
-    HorseshoeState,
     MHConfig,
     PriorSpec,
-    _effective_prior,
-    _initial_beta,
-    horseshoe_update,
     is_run,
     mh_run,
+    random_walk_mh,
     tau_optimal,
 )
 
@@ -49,11 +38,6 @@ __all__ = [
     "random_walk_mh",
     "run_benchmark",
     "write_benchmark_csv",
-    "sample_normal",
-    "sample_gamma",
-    "sample_invgamma",
-    "sample_poisson",
-    "sample_halfcauchy",
 ]
 
 _REDRAW_LIMIT = 100
@@ -146,71 +130,10 @@ def simulate_dataset(design: SimDesign, rng: np.random.Generator) -> tuple[Datas
         lam = np.exp(X @ beta)
         if lam.min() < design.lambda_lo or lam.max() > design.lambda_hi:
             continue  # float round-off pushed the band outside; retry
-        y = sample_poisson(lam, rng, size=n)
+        y = rng.poisson(lam, size=n)
         return Dataset(y=y, X=X, column_names=tuple(names)), beta
     raise GenerationError(
         f"could not satisfy lambda bounds after {_REDRAW_LIMIT} coefficient redraws"
-    )
-
-
-def random_walk_mh(data: Dataset, prior: PriorSpec, config: MHConfig,
-                   step_scale: float = 2.38) -> ChainOutput:
-    """Spherical Gaussian random-walk MH baseline against the exact
-    posterior; per-coordinate proposal scale is step_scale / sqrt(p)
-    (step_scale=2.38 is the classic tuned default, 1.0 the untuned variant).
-    """
-    if not step_scale > 0:
-        raise ValueError("step_scale must be positive")
-    rng = np.random.default_rng(config.seed)
-    iters = int(config.iterations)
-    burnin = int(config.burnin)
-    p = data.p
-    scale = step_scale / math.sqrt(p)
-    horseshoe = isinstance(prior, HorseshoePrior)
-
-    beta = _initial_beta(config, data)
-    trace = np.empty((iters, p))
-    accepted = np.zeros(iters, dtype=bool)
-    eta2_trace = np.empty((iters, p)) if horseshoe else None
-
-    t_start = time.perf_counter()
-    hs_state = HorseshoeState.initial(p) if horseshoe else None
-    prior_params = _effective_prior(prior, hs_state, p)
-    eta = data.X @ beta
-    loglik = _log_poisson_from_eta(eta, data)
-    for t in range(iters):
-        z = rng.standard_normal(p)
-        u = rng.uniform()
-        beta_star = beta + scale * z
-        eta_star = data.X @ beta_star
-        loglik_star = _log_poisson_from_eta(eta_star, data)
-        if loglik_star == -np.inf:
-            log_alpha = -np.inf
-        else:
-            log_alpha = (
-                loglik_star
-                + log_gaussian_prior(beta_star, prior_params)
-                - loglik
-                - log_gaussian_prior(beta, prior_params)
-            )
-        if log_alpha >= 0.0 or np.log(u) < log_alpha:
-            beta, eta, loglik = beta_star, eta_star, loglik_star
-            accepted[t] = True
-        trace[t] = beta
-        if horseshoe:
-            hs_state = horseshoe_update(beta, hs_state, prior.tau, rng)
-            prior_params = _effective_prior(prior, hs_state, p)
-            eta2_trace[t] = hs_state.eta2
-    elapsed = time.perf_counter() - t_start
-
-    return ChainOutput(
-        draws=trace[burnin:],
-        accepted=accepted,
-        elapsed_seconds=elapsed,
-        acceptance_rate=float(accepted.mean()),
-        seed=int(config.seed),
-        burnin=burnin,
-        prior_trace=eta2_trace[burnin:] if horseshoe else None,
     )
 
 

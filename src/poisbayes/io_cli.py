@@ -19,6 +19,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -107,12 +108,8 @@ class RunConfig:
             raise ConfigError("horseshoe prior needs either tau or p_n")
         if self.sampler not in ("mh", "is"):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if int(self.iterations) < 1:
-            raise ConfigError("iterations must be positive")
-        if not 0 <= int(self.burnin) < int(self.iterations):
-            raise ConfigError("need 0 <= burnin < iterations")
-        if not self.d > 0:
-            raise ConfigError("d must be positive")
+        # iterations, burnin, d and seed follow MHConfig's rules
+        _mh_config(self.iterations, self.burnin, self.d, self.seed)
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must be in (0, 1)")
         responses = [c for c in self.columns if c.kind == "response"]
@@ -402,13 +399,25 @@ def _build_prior(config: RunConfig, data: Dataset) -> PriorSpec:
     return HorseshoePrior(tau=float(tau))
 
 
-def _mh_config(config: RunConfig) -> MHConfig:
-    return MHConfig(
-        iterations=int(config.iterations),
-        burnin=int(config.burnin),
-        tuning=TuningPolicy(d=float(config.d)),
-        seed=int(config.seed),
-    )
+@contextlib.contextmanager
+def _config_errors():
+    """Report the library's ValueError for an out-of-range argument as a
+    ConfigError (exit code 2); the range rules themselves live in the
+    library's configs."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+def _mh_config(iterations, burnin, d, seed) -> MHConfig:
+    with _config_errors():
+        return MHConfig(
+            iterations=int(iterations),
+            burnin=int(burnin),
+            tuning=TuningPolicy(d=float(d)),
+            seed=int(seed),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +428,7 @@ def _cmd_fit(args) -> int:
     config = _config_from_args(args)
     data = load_dataset(config.data, config.columns, add_intercept=config.add_intercept)
     prior = _build_prior(config, data)
-    mh_config = _mh_config(config)
+    mh_config = _mh_config(config.iterations, config.burnin, config.d, config.seed)
     if config.sampler == "mh":
         output = mh_run(data, prior, mh_config, keep_burnin=config.keep_burnin)
     else:
@@ -472,10 +481,11 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    design = bench_mod.SimDesign(
-        n=args.n, p=args.p, seed=args.seed if args.seed is not None else 0
-    )
-    rng = np.random.default_rng(design.seed)
+    with _config_errors():
+        design = bench_mod.SimDesign(
+            n=args.n, p=args.p, seed=args.seed if args.seed is not None else 0
+        )
+        rng = np.random.default_rng(design.seed)
     try:
         data, beta_true = bench_mod.simulate_dataset(design, rng)
     except GenerationError as e:
@@ -528,19 +538,18 @@ def _parse_grid(raw: str) -> tuple[list[int], list[int]]:
 def _cmd_benchmark(args) -> int:
     ns, ps = _parse_grid(args.grid)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    config = MHConfig(
-        iterations=args.iterations,
-        burnin=args.burnin,
-        tuning=TuningPolicy(d=args.d),
-        seed=0,
-    )
-    result = bench_mod.run_benchmark(
-        ns, ps, methods, config,
-        replications=args.reps,
-        seed=args.seed if args.seed is not None else 0,
-        rw_step_scale=args.rw_scale,
-        prior=args.prior or "gaussian",
-    )
+    config = _mh_config(args.iterations, args.burnin, args.d, 0)
+    # run_benchmark raises ValueError only for its arguments (methods,
+    # replications, grid, prior, step scale); a chain's numeric failures
+    # become failed records instead
+    with _config_errors():
+        result = bench_mod.run_benchmark(
+            ns, ps, methods, config,
+            replications=args.reps,
+            seed=args.seed if args.seed is not None else 0,
+            rw_step_scale=args.rw_scale,
+            prior=args.prior or "gaussian",
+        )
     table_path, medians_path = bench_mod.write_benchmark_csv(result, args.out or "results.csv")
     for row in result.cell_medians():
         print(

@@ -1,11 +1,14 @@
-"""Metropolis-Hastings and adaptive importance samplers.
+"""Metropolis-Hastings and adaptive importance samplers, and the
+random-walk MH baseline.
 
-Both samplers drive the same PG-expectation Gaussian proposal: at each
+Both PG samplers drive the same PG-expectation Gaussian proposal: at each
 iteration the stopping parameters r_i are re-solved at the current
 coefficient vector, the proposal is rebuilt there, and a draw is scored
 against the exact Poisson posterior.  The MH variant corrects with the
 usual acceptance ratio (backward density rebuilt at the proposed point);
 the importance sampler keeps every draw and records a log-weight instead.
+All three samplers run on one loop, ``_drive``, and differ only in the
+step they hand it.
 
 Priors are conditionally Gaussian: either a fixed N(b, B) or the horseshoe
 beta_j | eta_j^2, tau^2 ~ N(0, eta_j^2 tau^2) with half-Cauchy local scales
@@ -14,6 +17,7 @@ handled through their inverse-gamma auxiliary representation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Union
@@ -22,7 +26,6 @@ import numpy as np
 
 from .diagnostics import ess_from_log_weights
 from .errors import EstimationError, NumericError
-from .kernels import sample_invgamma
 from .model import (
     Dataset,
     GaussianPriorParams,
@@ -44,6 +47,7 @@ __all__ = [
     "mh_step",
     "mh_run",
     "is_run",
+    "random_walk_mh",
     "horseshoe_update",
     "tau_optimal",
     "poisson_mle",
@@ -178,8 +182,10 @@ def horseshoe_update(beta, state: HorseshoeState, tau: float, rng: np.random.Gen
     beta = np.asarray(beta, dtype=np.float64)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    eta2 = sample_invgamma(1.0, 1.0 / state.nu + beta**2 / (2.0 * tau**2), rng, size=beta.size)
-    nu = sample_invgamma(1.0, 1.0 + 1.0 / eta2, rng, size=beta.size)
+    # InvGamma(1, s) is the reciprocal of Gamma(1, scale=1/s)
+    eta2_scale = 1.0 / state.nu + beta**2 / (2.0 * tau**2)
+    eta2 = 1.0 / rng.gamma(1.0, 1.0 / eta2_scale, size=beta.size)
+    nu = 1.0 / rng.gamma(1.0, 1.0 / (1.0 + 1.0 / eta2), size=beta.size)
     return HorseshoeState(eta2=eta2, nu=nu)
 
 
@@ -250,20 +256,54 @@ def _effective_prior(prior: PriorSpec, state: HorseshoeState | None, p: int) -> 
     return GaussianPriorParams(np.zeros(p), np.diag(prior.tau**2 * state.eta2))
 
 
+def _drive(data: Dataset, prior: PriorSpec, config: MHConfig, init, step):
+    """The sampling loop shared by every sampler in this module.
+
+    Owns the seeded generator, the start point, the draw and eta^2 buffers,
+    the horseshoe sweep with its effective-prior rebuild, and the timer.
+    ``init(beta0)`` returns the sampler's starting state and
+    ``step(t, state, prior_params, rng)`` returns ``(state, draw)``; under
+    the horseshoe prior each step is followed by one sweep of the scale
+    conditionals (eta^2 then nu) at ``draw``.  Returns
+    ``(draws, eta2_trace, elapsed)`` over all iterations, burn-in included;
+    the wall-clock time covers the sampling loop only.
+    """
+    rng = np.random.default_rng(config.seed)
+    iters = int(config.iterations)
+    p = data.p
+    horseshoe = isinstance(prior, HorseshoePrior)
+
+    beta0 = _initial_beta(config, data)
+    draws = np.empty((iters, p))
+    eta2_trace = np.empty((iters, p)) if horseshoe else None
+
+    t_start = time.perf_counter()
+    hs_state = HorseshoeState.initial(p) if horseshoe else None
+    prior_params = _effective_prior(prior, hs_state, p)
+    state = init(beta0)
+    for t in range(iters):
+        state, draws[t] = step(t, state, prior_params, rng)
+        if horseshoe:
+            hs_state = horseshoe_update(draws[t], hs_state, prior.tau, rng)
+            prior_params = _effective_prior(prior, hs_state, p)
+            eta2_trace[t] = hs_state.eta2
+    elapsed = time.perf_counter() - t_start
+    return draws, eta2_trace, elapsed
+
+
 class _ChainState:
     """Cached quantities at the current point of a chain."""
 
-    __slots__ = ("beta", "eta", "lam", "loglik", "r", "fwd", "fwd_prior",
+    __slots__ = ("beta", "eta", "loglik", "r", "fwd", "fwd_prior",
                  "logprior", "logprior_prior")
 
-    def __init__(self, beta, eta, lam, loglik, r, fwd=None, fwd_prior=None):
+    def __init__(self, beta, eta, loglik, r):
         self.beta = beta
         self.eta = eta
-        self.lam = lam
         self.loglik = loglik
         self.r = r
-        self.fwd = fwd
-        self.fwd_prior = fwd_prior
+        self.fwd = None
+        self.fwd_prior = None
         self.logprior = None
         self.logprior_prior = None
 
@@ -289,14 +329,18 @@ class _PGKernel:
         self.tuning_diag = tuning_diag
         self.proposal_failures = 0
 
-    def make_state(self, beta) -> _ChainState:
+    def make_state(self, beta, eta=None, loglik=None) -> _ChainState:
+        """The chain state at ``beta``; ``eta`` and ``loglik`` are computed
+        unless the caller already has them."""
         beta = np.asarray(beta, dtype=np.float64)
-        eta = self.data.X @ beta
+        if eta is None:
+            eta = self.data.X @ beta
+        if loglik is None:
+            loglik = _log_poisson_from_eta(eta, self.data)
         with np.errstate(over="ignore"):
             lam = np.exp(eta)
-        loglik = _log_poisson_from_eta(eta, self.data)
         r = r_vector_for_lambdas(lam, self.policy, self.tuning_diag)
-        return _ChainState(beta, eta, lam, loglik, r)
+        return _ChainState(beta, eta, loglik, r)
 
     def forward(self, state: _ChainState, prior: GaussianPriorParams) -> ProposalDensity:
         if state.fwd is None or state.fwd_prior is not prior:
@@ -318,29 +362,21 @@ class _PGKernel:
         if loglik_star == -np.inf:
             # zero-likelihood proposal; reject without a backward build
             return state, beta_star, False, -np.inf
-        with np.errstate(over="ignore"):
-            lam_star = np.exp(eta_star)
-        r_bwd = r_vector_for_lambdas(lam_star, self.policy, self.tuning_diag)
+        star = self.make_state(beta_star, eta_star, loglik_star)
         try:
-            bwd = _build_from_eta(eta_star, beta_star, data, r_bwd, prior)
+            # the backward build is cached on ``star`` as its forward build
+            bwd = self.forward(star, prior)
         except NumericError:
             self.proposal_failures += 1
             return state, beta_star, False, -np.inf
         # grouped as pairwise differences so identical states cancel exactly
-        logprior_star = log_gaussian_prior(beta_star, prior)
         log_post_ratio = (loglik_star - state.loglik) + (
-            logprior_star - state.prior_logpdf(prior)
+            star.prior_logpdf(prior) - state.prior_logpdf(prior)
         )
         log_q_ratio = proposal_logpdf(bwd, state.beta) - proposal_logpdf(fwd, beta_star)
         log_alpha = log_post_ratio + log_q_ratio
         accepted = log_alpha >= 0.0 or np.log(u) < log_alpha
-        if accepted:
-            state = _ChainState(
-                beta_star, eta_star, lam_star, loglik_star, r_bwd, fwd=bwd, fwd_prior=prior
-            )
-            state.logprior = logprior_star
-            state.logprior_prior = prior
-        return state, beta_star, accepted, log_alpha
+        return (star if accepted else state), beta_star, accepted, log_alpha
 
 
 def mh_step(beta_prev, data: Dataset, prior_effective: GaussianPriorParams,
@@ -376,45 +412,26 @@ def mh_run(data: Dataset, prior: PriorSpec, config: MHConfig,
     rebuilt.  Bit-for-bit reproducible for a given seed; wall-clock time
     covers the sampling loop only.
     """
-    rng = np.random.default_rng(config.seed)
-    tdiag = TuningDiagnostics()
+    kernel = _PGKernel(data, config.tuning, TuningDiagnostics())
     iters = int(config.iterations)
     burnin = int(config.burnin)
-    p = data.p
-    horseshoe = isinstance(prior, HorseshoePrior)
-
-    beta0 = _initial_beta(config, data)
-    trace = np.empty((iters, p))
     accepted = np.zeros(iters, dtype=bool)
-    eta2_trace = np.empty((iters, p)) if horseshoe else None
-    proposals = np.empty((iters, p)) if keep_step_trace else None
-    log_alphas = np.empty(iters) if keep_step_trace else None
-    uniforms = np.empty(iters) if keep_step_trace else None
-
-    t_start = time.perf_counter()
-    hs_state = HorseshoeState.initial(p) if horseshoe else None
-    prior_params = _effective_prior(prior, hs_state, p)
-    kernel = _PGKernel(data, config.tuning, tdiag)
-    state = kernel.make_state(beta0)
-    for t in range(iters):
-        z = rng.standard_normal(p)
-        u = rng.uniform()
-        state, beta_star, acc, log_alpha = kernel.step(state, prior_params, z, u)
-        trace[t] = state.beta
-        accepted[t] = acc
-        if keep_step_trace:
-            proposals[t] = beta_star
-            log_alphas[t] = log_alpha
-            uniforms[t] = u
-        if horseshoe:
-            hs_state = horseshoe_update(state.beta, hs_state, prior.tau, rng)
-            prior_params = _effective_prior(prior, hs_state, p)
-            eta2_trace[t] = hs_state.eta2
-    elapsed = time.perf_counter() - t_start
-
     step_trace = None
     if keep_step_trace:
-        step_trace = StepTrace(proposals=proposals, log_alphas=log_alphas, uniforms=uniforms)
+        step_trace = StepTrace(proposals=np.empty((iters, data.p)),
+                               log_alphas=np.empty(iters), uniforms=np.empty(iters))
+
+    def step(t, state, prior_params, rng):
+        z = rng.standard_normal(data.p)
+        u = rng.uniform()
+        state, beta_star, accepted[t], log_alpha = kernel.step(state, prior_params, z, u)
+        if step_trace is not None:
+            step_trace.proposals[t] = beta_star
+            step_trace.log_alphas[t] = log_alpha
+            step_trace.uniforms[t] = u
+        return state, state.beta
+
+    trace, eta2_trace, elapsed = _drive(data, prior, config, kernel.make_state, step)
     return ChainOutput(
         draws=trace[burnin:],
         accepted=accepted,
@@ -422,10 +439,10 @@ def mh_run(data: Dataset, prior: PriorSpec, config: MHConfig,
         acceptance_rate=float(accepted.mean()),
         seed=int(config.seed),
         burnin=burnin,
-        prior_trace=eta2_trace[burnin:] if horseshoe else None,
+        prior_trace=eta2_trace[burnin:] if eta2_trace is not None else None,
         full_draws=trace if keep_burnin else None,
         proposal_failures=kernel.proposal_failures,
-        tuning_fallbacks=tdiag.closed_form_fallbacks,
+        tuning_fallbacks=kernel.tuning_diag.closed_form_fallbacks,
         step_trace=step_trace,
     )
 
@@ -439,35 +456,25 @@ def is_run(data: Dataset, prior: PriorSpec, config: MHConfig) -> ISOutput:
     to be known up to a constant.  Raises ``EstimationError`` when every
     retained weight underflows to zero.
     """
-    rng = np.random.default_rng(config.seed)
-    tdiag = TuningDiagnostics()
-    iters = int(config.iterations)
+    kernel = _PGKernel(data, config.tuning, TuningDiagnostics())
     burnin = int(config.burnin)
-    p = data.p
-    horseshoe = isinstance(prior, HorseshoePrior)
+    log_w = np.empty(int(config.iterations))
 
-    beta0 = _initial_beta(config, data)
-    draws = np.empty((iters, p))
-    log_w = np.empty(iters)
-    failures = 0
+    def init(beta0):
+        return kernel.make_state(beta0), None
 
-    t_start = time.perf_counter()
-    hs_state = HorseshoeState.initial(p) if horseshoe else None
-    prior_params = _effective_prior(prior, hs_state, p)
-    kernel = _PGKernel(data, config.tuning, tdiag)
-    anchor = kernel.make_state(beta0)
-    prop = None
-    for t in range(iters):
+    def step(t, state, prior_params, rng):
+        anchor, prop = state
         try:
             prop = kernel.forward(anchor, prior_params)
         except NumericError:
-            failures += 1
+            kernel.proposal_failures += 1
             if prop is None:
                 raise NumericError(
                     "importance proposal could not be built at the initial point"
                 ) from None
             # keep sampling from the last good proposal
-        z = rng.standard_normal(p)
+        z = rng.standard_normal(data.p)
         draw = prop.m + prop.L @ z
         eta_d = data.X @ draw
         loglik_d = _log_poisson_from_eta(eta_d, data)
@@ -479,18 +486,9 @@ def is_run(data: Dataset, prior: PriorSpec, config: MHConfig) -> ISOutput:
                 + log_gaussian_prior(draw, prior_params)
                 - proposal_logpdf(prop, draw)
             )
-        draws[t] = draw
-        with np.errstate(over="ignore"):
-            lam_d = np.exp(eta_d)
-        anchor = _ChainState(
-            draw, eta_d, lam_d, loglik_d,
-            r_vector_for_lambdas(lam_d, config.tuning, tdiag),
-        )
-        if horseshoe:
-            hs_state = horseshoe_update(draw, hs_state, prior.tau, rng)
-            prior_params = _effective_prior(prior, hs_state, p)
-    elapsed = time.perf_counter() - t_start
+        return (kernel.make_state(draw, eta_d, loglik_d), prop), draw
 
+    draws, _, elapsed = _drive(data, prior, config, init, step)
     log_w_ret = log_w[burnin:]
     if not np.any(np.isfinite(log_w_ret)):
         raise EstimationError(
@@ -503,6 +501,53 @@ def is_run(data: Dataset, prior: PriorSpec, config: MHConfig) -> ISOutput:
         ess_weights=ess_from_log_weights(log_w_ret),
         elapsed_seconds=elapsed,
         seed=int(config.seed),
-        proposal_failures=failures,
-        tuning_fallbacks=tdiag.closed_form_fallbacks,
+        proposal_failures=kernel.proposal_failures,
+        tuning_fallbacks=kernel.tuning_diag.closed_form_fallbacks,
+    )
+
+
+def random_walk_mh(data: Dataset, prior: PriorSpec, config: MHConfig,
+                   step_scale: float = 2.38) -> ChainOutput:
+    """Spherical Gaussian random-walk MH baseline against the exact
+    posterior; per-coordinate proposal scale is step_scale / sqrt(p)
+    (step_scale=2.38 is the classic tuned default, 1.0 the untuned variant).
+    """
+    if not step_scale > 0:
+        raise ValueError("step_scale must be positive")
+    scale = step_scale / math.sqrt(data.p)
+    burnin = int(config.burnin)
+    accepted = np.zeros(int(config.iterations), dtype=bool)
+
+    def init(beta0):
+        return beta0, _log_poisson_from_eta(data.X @ beta0, data)
+
+    def step(t, state, prior_params, rng):
+        beta, loglik = state
+        z = rng.standard_normal(data.p)
+        u = rng.uniform()
+        beta_star = beta + scale * z
+        loglik_star = _log_poisson_from_eta(data.X @ beta_star, data)
+        if loglik_star == -np.inf:
+            log_alpha = -np.inf
+        else:
+            log_alpha = (
+                loglik_star
+                + log_gaussian_prior(beta_star, prior_params)
+                - loglik
+                - log_gaussian_prior(beta, prior_params)
+            )
+        if log_alpha >= 0.0 or np.log(u) < log_alpha:
+            beta, loglik = beta_star, loglik_star
+            accepted[t] = True
+        return (beta, loglik), beta
+
+    trace, eta2_trace, elapsed = _drive(data, prior, config, init, step)
+    return ChainOutput(
+        draws=trace[burnin:],
+        accepted=accepted,
+        elapsed_seconds=elapsed,
+        acceptance_rate=float(accepted.mean()),
+        seed=int(config.seed),
+        burnin=burnin,
+        prior_trace=eta2_trace[burnin:] if eta2_trace is not None else None,
     )

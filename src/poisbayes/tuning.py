@@ -16,10 +16,11 @@ equation d_A(lambda, r) = d is solved exactly by
 
     r = -lambda * L / (L + lambda * W(-(L/lambda) * exp(-L/lambda)))
 
-on the W_{-1} branch (the principal branch yields the degenerate root
-r = infinity).  A candidate is accepted only if it is finite, positive and
-reproduces the target distance to 1e-6 relative; anything else falls back
-to bisection and is counted in ``TuningDiagnostics``.
+on the W_{-1} branch; the principal branch yields the degenerate root
+r = infinity, so it is never tried.  A candidate is accepted only if it is
+finite, inside [r_min, r_max] and reproduces the target distance to 1e-6
+relative; anything else falls back to bisection and is counted in
+``TuningDiagnostics``.
 """
 
 from __future__ import annotations
@@ -228,15 +229,14 @@ def _bisect_r(lam: float, policy: TuningPolicy) -> float:
     return hi
 
 
-def _closed_form_candidates(lam, d):
-    """Candidate roots of d_A(lambda, r) = d from both W branches.
+def _closed_form_r(lam, d):
+    """Candidate roots of d_A(lambda, r) = d from the W_{-1} branch.
 
     With L = lambda - log(1+d) in (0, lambda), the argument
-    a = -(L/lambda) exp(-L/lambda) lies in [-1/e, 0); the principal branch
-    returns the degenerate w = -L/lambda (r = infinity), so only W_{-1}
-    yields a usable root, but both are produced and filtered by the caller.
-    The principal candidate is returned lazily since it never survives the
-    filter on the interior domain.
+    a = -(L/lambda) exp(-L/lambda) lies in [-1/e, 0).  The principal branch
+    there returns the degenerate w = -L/lambda (r = infinity), so W_{-1} is
+    the only branch with a usable root; the caller still filters the
+    candidates.
     """
     lam = np.asarray(lam, dtype=np.float64)
     L = lam - math.log1p(d)
@@ -244,13 +244,7 @@ def _closed_form_candidates(lam, d):
     a = -u * np.exp(-u)
     w_m1 = _wm1_vec(a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_m1 = -lam * L / (L + lam * w_m1)
-
-    def r_principal():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -lam * L / (L + lam * (-u))
-
-    return r_m1, r_principal
+        return -lam * L / (L + lam * w_m1)
 
 
 def solve_r(lam: float, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> float:
@@ -280,35 +274,17 @@ def _solve_r_many(lams: np.ndarray, policy: TuningPolicy, diagnostics: TuningDia
     if not interior.any():
         return r
     lam_i = lams[interior]
+    out_i = np.full(lam_i.shape, np.nan)
     if policy.use_closed_form:
-        r_m1, r_principal = _closed_form_candidates(lam_i, d)
-        chosen = np.full(lam_i.shape, np.nan)
-        for k in range(2):
-            cand = r_m1 if k == 0 else r_principal()
-            with np.errstate(invalid="ignore"):
-                usable = (
-                    np.isnan(chosen)
-                    & np.isfinite(cand)
-                    & (cand > 0)
-                    & (cand >= policy.r_min)
-                    & (cand <= policy.r_max)
-                )
-            if usable.any():
-                # accept only near-exact roots; a sloppy candidate that merely
-                # satisfies the one-sided bound would silently overshoot r
-                dist = _distance_raw(lam_i[usable], cand[usable])
-                exact = np.abs(dist - d) <= 1e-6 * d
-                idx = np.flatnonzero(usable)[exact]
-                chosen[idx] = cand[usable][exact]
-            if not np.isnan(chosen).any():
-                break
-        solved = ~np.isnan(chosen)
-        out_i = chosen
-    else:
-        solved = np.zeros(lam_i.shape, dtype=bool)
-        out_i = np.full(lam_i.shape, np.nan)
+        cand = _closed_form_r(lam_i, d)
+        # NaN and infinite candidates fail the range test
+        usable = (cand >= policy.r_min) & (cand <= policy.r_max)
+        # accept only near-exact roots; a sloppy candidate that merely
+        # satisfies the one-sided bound would silently overshoot r
+        usable[usable] = np.abs(_distance_raw(lam_i[usable], cand[usable]) - d) <= 1e-6 * d
+        out_i[usable] = cand[usable]
 
-    for j in np.flatnonzero(~solved):
+    for j in np.flatnonzero(np.isnan(out_i)):
         out_i[j] = _bisect_r(float(lam_i[j]), policy)
         if policy.use_closed_form and diagnostics is not None:
             diagnostics.closed_form_fallbacks += 1

@@ -210,6 +210,26 @@ class TestCLI:
         config_path, _ = run_config(tmp_path, data_path, burnin=2000)
         assert run_cli(["fit", "--config", config_path]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--d", "inf"],
+        ["fit", "--seed", "-1"],
+        ["benchmark", "--reps", "0"],
+        ["benchmark", "--d", "inf"],
+        ["benchmark", "--iterations", "5", "--burnin", "5"],
+        ["benchmark", "--methods", "hmc"],
+        ["simulate", "--n", "0", "--p", "2"],
+        ["simulate", "--n", "10", "--p", "2", "--seed", "-1"],
+    ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+    def test_out_of_range_argument_exits_2(self, toy_files, argv, capsys):
+        tmp_path, data_path, _ = toy_files
+        if argv[0] == "fit":
+            config_path, _ = run_config(tmp_path, data_path)
+            argv = argv + ["--config", config_path]
+        elif argv[0] == "benchmark":
+            argv = argv + ["--grid", "n=20;p=2", "--out", str(tmp_path / "b.csv")]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_data_file_exits_3(self, toy_files):
         tmp_path, data_path, _ = toy_files
         config_path, _ = run_config(tmp_path, data_path, data=str(tmp_path / "nope.csv"))

@@ -26,6 +26,7 @@ from poisbayes import (
     mh_step,
     poisson_mle,
     proposal_logpdf,
+    random_walk_mh,
     tau_optimal,
 )
 
@@ -261,17 +262,25 @@ class TestHorseshoe:
 
     def test_horseshoe_run_exposes_scale_trace(self, toy_1d):
         config = MHConfig(iterations=200, burnin=50, tuning=TuningPolicy(d=0.1), seed=8)
-        out = mh_run(toy_1d, HorseshoePrior(tau=0.5), config)
-        assert out.prior_trace is not None
-        assert out.prior_trace.shape == (150, 1)
-        assert np.all(out.prior_trace > 0)
+        for run in (mh_run, random_walk_mh):
+            out = run(toy_1d, HorseshoePrior(tau=0.5), config)
+            assert out.prior_trace is not None
+            assert out.prior_trace.shape == (150, 1)
+            assert np.all(out.prior_trace > 0)
+        # the importance sampler keeps no scale trace, but samples under it
+        out = is_run(toy_1d, HorseshoePrior(tau=0.5), config)
+        assert out.draws.shape == (150, 1)
+        assert np.all(np.isfinite(out.draws))
 
     def test_horseshoe_run_deterministic(self, toy_1d):
         config = MHConfig(iterations=150, burnin=0, tuning=TuningPolicy(d=0.1), seed=13)
-        a = mh_run(toy_1d, HorseshoePrior(tau=0.3), config)
-        b = mh_run(toy_1d, HorseshoePrior(tau=0.3), config)
-        np.testing.assert_array_equal(a.draws, b.draws)
-        np.testing.assert_array_equal(a.prior_trace, b.prior_trace)
+        for run in (mh_run, random_walk_mh, is_run):
+            a = run(toy_1d, HorseshoePrior(tau=0.3), config)
+            b = run(toy_1d, HorseshoePrior(tau=0.3), config)
+            np.testing.assert_array_equal(a.draws, b.draws)
+            for field in ("prior_trace", "accepted", "log_weights"):
+                if hasattr(a, field):
+                    np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
@@ -325,6 +334,26 @@ class TestImportanceSampler:
         se_mh = mc_se_mean(mh_draws, ess_chain(mh_draws))
         combined = math.hypot(se_is, se_mh)
         assert abs(is_mean - mh_draws.mean()) < 3 * combined
+
+    def test_replay_reproduces_log_weights(self, toy_2d):
+        data, _ = toy_2d
+        policy = TuningPolicy(d=0.3)
+        prior = unit_prior(p=2, var=2.0)
+        config = MHConfig(iterations=80, burnin=0, tuning=policy, seed=37)
+        out = is_run(data, FixedGaussianPrior(prior), config)
+        anchor = poisson_mle(data)
+        for t in range(config.iterations):
+            draw = out.draws[t]
+            prop = build_proposal(anchor, data, compute_r_vector(anchor, data, policy), prior)
+            expected = (
+                log_poisson_likelihood(draw, data)
+                + log_gaussian_prior(draw, prior)
+                - proposal_logpdf(prop, draw)
+            )
+            assert out.log_weights[t] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            # the replay makes the sampler's calls in the sampler's order
+            assert out.log_weights[t] == expected
+            anchor = draw
 
     def test_horseshoe_is_runs(self, toy_1d):
         config = MHConfig(iterations=300, burnin=100, tuning=TuningPolicy(d=0.1), seed=31)
