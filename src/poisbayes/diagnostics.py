@@ -15,6 +15,7 @@ from .model import Dataset
 __all__ = [
     "DegenerateSeriesWarning",
     "CPOInstabilityWarning",
+    "WeightCollapseWarning",
     "PosteriorSummary",
     "ess_chain",
     "ess_vector",
@@ -32,6 +33,10 @@ class DegenerateSeriesWarning(UserWarning):
 
 class CPOInstabilityWarning(UserWarning):
     """Some CPO terms hit zero likelihood and dominate the harmonic mean."""
+
+
+class WeightCollapseWarning(UserWarning):
+    """An importance sample's weight ESS is under 1% of its draws."""
 
 
 @dataclass(frozen=True, eq=False)

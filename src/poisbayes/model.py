@@ -98,10 +98,10 @@ class Dataset:
 class GaussianPriorParams:
     """Parameters (b, B) of a Gaussian prior on the regression coefficients.
 
-    B must be symmetric (within 1e-10) and positive definite.  The Cholesky
-    factor, B^{-1}, B^{-1} b and log det B are computed once at construction;
-    for a diagonal B these come from elementwise reciprocals, never from a
-    matrix inverse.
+    B must be symmetric (within 1e-10) and positive definite.  The inverse
+    of its lower Cholesky factor, B^{-1}, B^{-1} b and log det B are
+    computed once at construction; for a diagonal B these come from
+    elementwise reciprocals, never from a matrix inverse.
     """
 
     def __init__(self, b, B):
@@ -123,17 +123,18 @@ class GaussianPriorParams:
                 raise LinAlgError(
                     f"{k}-th leading minor of the array is not positive definite"
                 )
-            self._chol = np.diag(np.sqrt(diag))
+            self._chol_inv = np.diag(1.0 / np.sqrt(diag))
             self.log_det = float(np.sum(np.log(diag)))
             self.B_inv = np.diag(1.0 / diag)
             self.B_inv_b = b / diag
         else:
             # scipy names the failing leading minor in its LinAlgError message
-            self._chol = cholesky(B, lower=True)
-            self.log_det = 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
-            self.B_inv = cho_solve((self._chol, True), np.eye(p))
-            self.B_inv_b = cho_solve((self._chol, True), b)
-        for arr in (self._chol, self.B_inv, self.B_inv_b):
+            chol = cholesky(B, lower=True)
+            self.log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+            self._chol_inv = solve_triangular(chol, np.eye(p), lower=True)
+            self.B_inv = cho_solve((chol, True), np.eye(p))
+            self.B_inv_b = cho_solve((chol, True), b)
+        for arr in (self._chol_inv, self.B_inv, self.B_inv_b):
             arr.setflags(write=False)
 
     @property
@@ -225,7 +226,7 @@ def log_gaussian_prior(beta, prior: GaussianPriorParams) -> float:
     if prior.is_diagonal:
         quad = float(np.sum(diff * diff / np.diagonal(prior.B)))
     else:
-        u = solve_triangular(prior._chol, diff, lower=True, check_finite=False)
+        u = prior._chol_inv @ diff
         quad = float(u @ u)
     return -0.5 * (prior.p * np.log(2.0 * np.pi) + prior.log_det + quad)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import solve_triangular
 
 from .errors import NumericError
 from .model import Dataset, GaussianPriorParams
@@ -45,18 +44,21 @@ _JITTER_RETRIES = 3
 class ProposalDensity:
     """A multivariate Gaussian N(m, V) anchored at a coefficient vector.
 
-    ``L`` is the lower Cholesky factor of V; ``log_det_V`` equals
-    2 * sum(log diag L).  The anchor records which beta the proposal was
-    built from, so samplers can cache and reuse forward/backward builds.
+    ``L`` is the lower Cholesky factor of V, ``L_inv`` its inverse (taken
+    from ``L`` if not given) and ``log_det_V`` is 2 * sum(log diag L).  The
+    anchor is the beta it was built at, so samplers can reuse builds.
     """
 
     m: np.ndarray
     L: np.ndarray
     log_det_V: float
     anchor: np.ndarray
+    L_inv: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("m", "L", "anchor"):
+        if self.L_inv is None:
+            object.__setattr__(self, "L_inv", np.tril(np.linalg.inv(self.L)))
+        for name in ("m", "L", "anchor", "L_inv"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -87,8 +89,8 @@ def pg_mean(b_param, c_param):
 def build_proposal(beta_anchor, data: Dataset, r, prior: GaussianPriorParams) -> "ProposalDensity":
     """Construct the PG-expectation proposal anchored at ``beta_anchor``.
 
-    The covariance is formed as the inverse of the precision
-    X' Omega X + B^{-1} through its Cholesky factor.  On a Cholesky failure
+    The precision P = X' Omega X + B^{-1} is factored once; the lower
+    Cholesky factor of V = P^{-1} follows from it.  On a Cholesky failure
     the diagonal is jittered by 1e-10 * trace/p, escalating tenfold up to
     three retries, after which ``NumericError`` is raised (callers such as
     the samplers treat that as a rejected move).
@@ -117,31 +119,29 @@ def _build_from_eta(eta, beta_anchor, data: Dataset, r, prior: GaussianPriorPara
     if not np.all(np.isfinite(precision)) or not np.all(np.isfinite(rhs)):
         raise NumericError("non-finite proposal precision")
 
+    # with J the reversal permutation, J P J = K K' gives V = L L' for the
+    # lower triangular L = J K^{-T} J, whose inverse J K' J needs no solve
     p = data.p
+    reversed_precision = precision[::-1, ::-1]
     jitter = _JITTER_BASE * float(np.trace(precision)) / p
-    attempt = precision
+    attempt = reversed_precision
     for k in range(_JITTER_RETRIES + 1):
         try:
-            chol_prec = _chol_lower(attempt)
+            chol_rev = _chol_lower(attempt)
             break
         except LinAlgError:
             if k == _JITTER_RETRIES:
                 raise NumericError(
                     "proposal precision is not positive definite after jitter retries"
                 ) from None
-            attempt = precision + np.eye(p) * jitter
+            attempt = reversed_precision + np.eye(p) * jitter
             jitter *= 10.0
 
-    # V = P^{-1} from the precision factor; then the lower factor of V itself
-    inv_chol = solve_triangular(chol_prec, np.eye(p), lower=True, check_finite=False)
-    cov = inv_chol.T @ inv_chol
-    m = inv_chol.T @ (inv_chol @ rhs)
-    try:
-        chol_cov = _chol_lower(cov)
-    except LinAlgError:
-        raise NumericError("proposal covariance lost positive definiteness") from None
-    log_det_v = 2.0 * float(np.sum(np.log(np.diagonal(chol_cov))))
-    return ProposalDensity(m=m, L=chol_cov, log_det_V=log_det_v, anchor=beta_anchor)
+    L_inv = chol_rev.T[::-1, ::-1]
+    L = np.tril(np.linalg.inv(L_inv))
+    m = L @ (L.T @ rhs)
+    log_det_v = -2.0 * float(np.sum(np.log(np.diagonal(chol_rev))))
+    return ProposalDensity(m=m, L=L, log_det_V=log_det_v, anchor=beta_anchor, L_inv=L_inv)
 
 
 def sample_proposal(prop: ProposalDensity, rng: np.random.Generator) -> np.ndarray:
@@ -153,11 +153,11 @@ def sample_proposal(prop: ProposalDensity, rng: np.random.Generator) -> np.ndarr
 def proposal_logpdf(prop: ProposalDensity, beta) -> float:
     """Full Gaussian log-density of the proposal at ``beta``.
 
-    The quadratic form is evaluated through a triangular solve against L;
-    no covariance inverse is ever formed.
+    The quadratic form is ||L^{-1} (beta - m)||^2, one product with the
+    cached inverse factor.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (prop.p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({prop.p},)")
-    u = solve_triangular(prop.L, beta - prop.m, lower=True, check_finite=False)
+    u = prop.L_inv @ (beta - prop.m)
     return -0.5 * (prop.p * _LOG_2PI + prop.log_det_V + float(u @ u))

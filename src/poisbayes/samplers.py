@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .diagnostics import ess_from_log_weights
+from .diagnostics import WeightCollapseWarning, ess_from_log_weights
 from .errors import EstimationError, NumericError
 from .model import (
     Dataset,
@@ -454,7 +455,9 @@ def is_run(data: Dataset, prior: PriorSpec, config: MHConfig) -> ISOutput:
 
     Estimators downstream are self-normalized, so the posterior only needs
     to be known up to a constant.  Raises ``EstimationError`` when every
-    retained weight underflows to zero.
+    retained weight underflows to zero, and warns with
+    ``WeightCollapseWarning`` when the weight ESS is under 1% of the
+    retained draws.
     """
     kernel = _PGKernel(data, config.tuning, TuningDiagnostics())
     burnin = int(config.burnin)
@@ -495,10 +498,18 @@ def is_run(data: Dataset, prior: PriorSpec, config: MHConfig) -> ISOutput:
             "all importance weights underflowed to zero; "
             "increase the distance bound d or the number of iterations"
         )
+    ess = ess_from_log_weights(log_w_ret)
+    if ess < 0.01 * log_w_ret.size:
+        warnings.warn(
+            f"importance weights collapsed: weight ESS {ess:.1f} of {log_w_ret.size} "
+            "retained draws; estimates rest on a few draws",
+            WeightCollapseWarning,
+            stacklevel=2,
+        )
     return ISOutput(
         draws=draws[burnin:],
         log_weights=log_w_ret,
-        ess_weights=ess_from_log_weights(log_w_ret),
+        ess_weights=ess,
         elapsed_seconds=elapsed,
         seed=int(config.seed),
         proposal_failures=kernel.proposal_failures,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 import poisbayes.proposal as proposal_mod
 from poisbayes import (
@@ -143,6 +144,44 @@ class TestBuildProposal:
         assert rel < 1e-8
         assert prop.log_det_V == pytest.approx(2 * np.sum(np.log(np.diag(prop.L))))
         assert np.all(np.diag(prop.L) > 0)
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diag", "full"])
+    @pytest.mark.parametrize("p", [1, 5, 30])
+    def test_matches_inverse_precision_formula(self, p, diagonal):
+        rng = np.random.default_rng(100 + p)
+        n = 200
+        X = np.column_stack([np.ones(n), 0.5 * rng.standard_normal((n, p - 1))])
+        ds = make(rng.poisson(3.0, n), X)
+        r = rng.uniform(0.5, 30.0, n)
+        if diagonal:
+            B = np.diag(rng.uniform(0.5, 3.0, p))
+        else:
+            A = rng.standard_normal((p, p))
+            B = A @ A.T / p + np.eye(p)
+        prior = GaussianPriorParams(rng.standard_normal(p), B)
+        assert prior.is_diagonal == (diagonal or p == 1)
+        beta = 0.1 * rng.standard_normal(p)
+        prop = build_proposal(beta, ds, r, prior)
+
+        c = X @ beta - np.log(r)
+        omega = (ds.y + r) / (2 * c) * np.tanh(c / 2)
+        kappa = omega * np.log(r) + (ds.y - r) / 2
+        B_inv = np.linalg.inv(B)
+        V = np.linalg.inv(X.T @ (omega[:, None] * X) + B_inv)
+        m = V @ (X.T @ kappa + B_inv @ prior.b)
+        log_det_V = np.linalg.slogdet(V)[1]
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        assert rel(prop.m, m) < 1e-10
+        assert rel(prop.L @ prop.L.T, V) < 1e-10
+        assert prop.log_det_V == pytest.approx(log_det_V, rel=1e-10)
+        np.testing.assert_array_equal(prop.L, np.tril(prop.L))
+        assert np.all(np.diag(prop.L) > 0)
+        for point in (m, beta, m + prop.L @ rng.standard_normal(p)):
+            expected = multivariate_normal.logpdf(point, mean=m, cov=V)
+            assert proposal_logpdf(prop, point) == pytest.approx(expected, rel=1e-10)
 
     def test_jitter_recovers_then_surfaces(self, monkeypatch, toy_1d):
         prior = GaussianPriorParams([0.0], [[1.0]])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from poisbayes import (
     random_walk_mh,
     tau_optimal,
 )
+from poisbayes.diagnostics import WeightCollapseWarning
 
 
 def unit_prior(p=1, var=1.0):
@@ -354,6 +356,22 @@ class TestImportanceSampler:
             # the replay makes the sampler's calls in the sampler's order
             assert out.log_weights[t] == expected
             anchor = draw
+
+    def test_far_off_start_warns_of_weight_collapse(self, toy_2d):
+        # a chain still drifting in from far off: its last draw carries all the weight
+        data, _ = toy_2d
+        config = MHConfig(iterations=400, burnin=0, tuning=TuningPolicy(d=0.1), seed=1,
+                          init_beta=np.array([5.0, 5.0]))
+        with pytest.warns(WeightCollapseWarning, match="weight ESS"):
+            out = is_run(data, FixedGaussianPrior(unit_prior(p=2, var=2.0)), config)
+        assert out.ess_weights < 0.01 * config.iterations
+
+    def test_healthy_run_does_not_warn(self, toy_1d):
+        config = MHConfig(iterations=800, burnin=200, tuning=TuningPolicy(d=0.1), seed=19)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WeightCollapseWarning)
+            out = is_run(toy_1d, FixedGaussianPrior(unit_prior()), config)
+        assert out.ess_weights >= 0.01 * (config.iterations - config.burnin)
 
     def test_horseshoe_is_runs(self, toy_1d):
         config = MHConfig(iterations=300, burnin=100, tuning=TuningPolicy(d=0.1), seed=31)
