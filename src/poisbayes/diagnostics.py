@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import EstimationError
 from .model import Dataset
@@ -177,7 +176,7 @@ def cpo(draws, data: Dataset, return_log: bool = False):
             f"only {n_draws} draws; CPO estimates may be unstable", UserWarning
         )
     y = data._yf
-    lgam = gammaln(y + 1.0)
+    lgam = data._lgamma_y1_rows
     # streaming logsumexp of -log f over draws, per observation
     run_max = np.full(data.n, -np.inf)
     run_sum = np.zeros(data.n)

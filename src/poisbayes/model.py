@@ -8,11 +8,11 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
-from scipy.special import gammaln
+from numpy.linalg import LinAlgError
 
 __all__ = [
     "Dataset",
@@ -84,7 +84,11 @@ class Dataset:
         object.__setattr__(self, "column_names", names)
         # cached pieces reused by every likelihood evaluation
         object.__setattr__(self, "_yf", _frozen_array(y, name="y"))
-        object.__setattr__(self, "_lgamma_y1", float(np.sum(gammaln(self.y + 1.0))))
+        # log y_i!, evaluated once per distinct count
+        distinct, row_of = np.unique(self.y, return_inverse=True)
+        log_y_fact = np.array([math.lgamma(k + 1.0) for k in distinct.tolist()])[row_of]
+        object.__setattr__(self, "_lgamma_y1_rows", _frozen_array(log_y_fact, name="log y!"))
+        object.__setattr__(self, "_lgamma_y1", float(np.sum(log_y_fact)))
 
     @property
     def n(self) -> int:
@@ -129,6 +133,8 @@ class GaussianPriorParams:
             self.B_inv_b = b / diag
         else:
             # scipy names the failing leading minor in its LinAlgError message
+            from scipy.linalg import cho_solve, cholesky, solve_triangular
+
             chol = cholesky(B, lower=True)
             self.log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
             self._chol_inv = solve_triangular(chol, np.eye(p), lower=True)
@@ -213,6 +219,8 @@ def log_nb_likelihood(beta, r, data: Dataset, normalized: bool = False) -> float
     log_r_lam = np.logaddexp(log_r, eta)
     value = float(np.sum(r * (log_r - log_r_lam) + data._yf * (eta - log_r_lam)))
     if normalized:
+        from scipy.special import gammaln
+
         value += float(np.sum(gammaln(data._yf + r) - gammaln(r)) - data._lgamma_y1)
     return value
 

@@ -99,10 +99,13 @@ def build_proposal(beta_anchor, data: Dataset, r, prior: GaussianPriorParams) ->
     if beta_anchor.shape != (data.p,):
         raise ValueError(f"anchor has shape {beta_anchor.shape}, expected ({data.p},)")
     eta = data.X @ beta_anchor
-    return _build_from_eta(eta, beta_anchor, data, r, prior)
+    return _factor(*_data_terms(eta, data, r), beta_anchor, prior)
 
 
-def _build_from_eta(eta, beta_anchor, data: Dataset, r, prior: GaussianPriorParams) -> "ProposalDensity":
+def _data_terms(eta, data: Dataset, r):
+    """The prior-free half of the proposal, ``(X' Omega X, X' kappa)``, at an
+    anchor with linear predictor ``eta``.  It depends on the anchor and r
+    only, so a sampler can keep it while the prior changes."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (data.n,):
         raise ValueError(f"r has shape {r.shape}, expected ({data.n},)")
@@ -114,14 +117,20 @@ def _build_from_eta(eta, beta_anchor, data: Dataset, r, prior: GaussianPriorPara
         raise NumericError("non-finite PG tilt x'beta - log r in proposal build")
     omega = pg_mean(data._yf + r, c)
     kappa = omega * log_r + (data._yf - r) / 2.0
-    precision = data.X.T @ (omega[:, None] * data.X) + prior.B_inv
-    rhs = data.X.T @ kappa + prior.B_inv_b
+    return data.X.T @ (omega[:, None] * data.X), data.X.T @ kappa
+
+
+def _factor(gram, x_kappa, beta_anchor, prior: GaussianPriorParams) -> "ProposalDensity":
+    """The proposal N(m, V) from its data terms and the prior:
+    V^{-1} = X' Omega X + B^{-1} and V^{-1} m = X' kappa + B^{-1} b."""
+    precision = gram + prior.B_inv
+    rhs = x_kappa + prior.B_inv_b
     if not np.all(np.isfinite(precision)) or not np.all(np.isfinite(rhs)):
         raise NumericError("non-finite proposal precision")
 
     # with J the reversal permutation, J P J = K K' gives V = L L' for the
     # lower triangular L = J K^{-T} J, whose inverse J K' J needs no solve
-    p = data.p
+    p = precision.shape[0]
     reversed_precision = precision[::-1, ::-1]
     jitter = _JITTER_BASE * float(np.trace(precision)) / p
     attempt = reversed_precision

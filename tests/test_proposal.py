@@ -205,6 +205,23 @@ class TestBuildProposal:
         with pytest.raises(NumericError):
             build_proposal([0.0], toy_1d, np.ones(toy_1d.n), prior)
 
+    def test_factor_reuses_data_terms_across_priors(self):
+        rng = np.random.default_rng(17)
+        X = np.column_stack([np.ones(50), rng.standard_normal((50, 3))])
+        data = make(rng.poisson(np.exp(X @ [0.5, 0.2, -0.1, 0.0])), X)
+        beta = np.array([0.4, 0.1, -0.2, 0.05])
+        r = rng.uniform(0.5, 20.0, data.n)
+        terms = proposal_mod._data_terms(data.X @ beta, data, r)
+        B = np.array([[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0],
+                      [0.0, 0.2, 1.5, 0.0], [0.1, 0.0, 0.0, 0.5]])
+        for prior in (GaussianPriorParams(np.zeros(4), np.diag([0.01, 4.0, 0.3, 2.0])),
+                      GaussianPriorParams([0.1, 0.0, -0.3, 0.2], B)):
+            cached = proposal_mod._factor(*terms, beta, prior)
+            fresh = build_proposal(beta, data, r, prior)
+            for name in ("m", "L", "L_inv", "anchor"):
+                np.testing.assert_array_equal(getattr(cached, name), getattr(fresh, name))
+            assert cached.log_det_V == fresh.log_det_V
+
     def test_rejects_bad_r(self, toy_1d):
         prior = GaussianPriorParams([0.0], [[1.0]])
         with pytest.raises(ValueError):
