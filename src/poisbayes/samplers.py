@@ -54,8 +54,9 @@ __all__ = [
     "poisson_mle",
 ]
 
-# above glibc's default 128 KiB mmap threshold; never written, so never resident
-_ALLOCATOR_WARMUP_BYTES = 4 << 20
+# above glibc's default 128 KiB mmap threshold and below the 4 MiB from which
+# numpy advises huge pages for an array; never written, so never resident
+_ALLOCATOR_WARMUP_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -285,6 +286,9 @@ def _drive(data: Dataset, prior: PriorSpec, config: MHConfig, init, step):
     # freeing a block it had to mmap.  Freeing one such block here keeps the
     # loop's short-lived n-vectors resident: without it, MH at n=5000, p=5
     # faulted about 125 pages back in per iteration, a quarter of its time.
+    # Once the threshold is raised, later blocks come from the heap itself,
+    # so a block numpy advised for huge pages would mark that part of the
+    # heap, and the loop's scratch memory in it, for huge-page faults.
     np.empty(_ALLOCATOR_WARMUP_BYTES, dtype=np.uint8)
 
     t_start = time.perf_counter()

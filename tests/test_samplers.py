@@ -206,6 +206,36 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         # returning freed heap to the OS each iteration costs about 125 faults
         assert int(result.stdout.split()[-1]) < 400
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/smaps")
+    def test_loop_leaves_no_huge_page_advice_on_the_heap(self):
+        # numpy advises huge pages for arrays of 4 MiB and more; a block that
+        # size served from the heap marks the loop's scratch memory with it
+        script = """
+import re
+import numpy as np
+import poisbayes as pb
+
+rng = np.random.default_rng(2)
+X = np.column_stack([np.ones(200), rng.integers(0, 2, 200)])
+data = pb.Dataset(y=rng.poisson(np.exp(0.7 * X[:, 1])), X=X, column_names=["b0", "b1"])
+prior = pb.FixedGaussianPrior(pb.GaussianPriorParams(np.zeros(2), 2.0 * np.eye(2)))
+for seed in range(3):
+    pb.mh_run(data, prior, pb.MHConfig(iterations=50, burnin=0, seed=seed))
+    pb.is_run(data, prior, pb.MHConfig(iterations=50, burnin=0, seed=seed))
+advised = 0
+for block in re.split(r"\\n(?=[0-9a-f]+-[0-9a-f]+ )", open("/proc/self/smaps").read()):
+    if block.split("\\n", 1)[0].split()[5:] == ["[heap]"]:
+        advised += "hg" in re.search(r"^VmFlags:(.*)$", block, re.M).group(1).split()
+print(advised)
+"""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-1] == "0"
+
     def test_init_beta_options(self, toy_1d):
         explicit = MHConfig(iterations=20, burnin=0, seed=1, init_beta=np.array([0.5]))
         out = mh_run(toy_1d, FixedGaussianPrior(unit_prior()), explicit, keep_burnin=True)
