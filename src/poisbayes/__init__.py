@@ -36,11 +36,9 @@ from .io_cli import ColumnSpec, RunConfig, load_dataset, run_cli, write_outputs
 from .model import (
     Dataset,
     GaussianPriorParams,
-    ModelState,
     log_gaussian_prior,
     log_nb_likelihood,
     log_poisson_likelihood,
-    log_posterior_unnorm,
 )
 from .proposal import (
     ProposalDensity,
@@ -60,7 +58,6 @@ from .samplers import (
     horseshoe_update,
     is_run,
     mh_run,
-    mh_step,
     poisson_mle,
     random_walk_mh,
     tau_optimal,
@@ -93,7 +90,6 @@ __all__ = [
     "HorseshoeState",
     "ISOutput",
     "MHConfig",
-    "ModelState",
     "NumericError",
     "PoisBayesError",
     "PosteriorSummary",
@@ -117,10 +113,8 @@ __all__ = [
     "log_gaussian_prior",
     "log_nb_likelihood",
     "log_poisson_likelihood",
-    "log_posterior_unnorm",
     "lpml",
     "mh_run",
-    "mh_step",
     "nb_poisson_distance",
     "pg_mean",
     "poisson_mle",

@@ -190,11 +190,9 @@ def _method_seed(seed: int, n: int, p: int, rep: int, slot: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _bench_prior(kind: str, n: int, p: int, gaussian_var: float) -> PriorSpec:
+def _bench_prior(kind: str, n: int, p: int) -> PriorSpec:
     if kind == "gaussian":
-        return FixedGaussianPrior(
-            GaussianPriorParams(np.zeros(p), gaussian_var * np.eye(p))
-        )
+        return FixedGaussianPrior(GaussianPriorParams(np.zeros(p), 2.0 * np.eye(p)))
     if kind == "horseshoe":
         return HorseshoePrior(tau=tau_optimal(n, max(1, p // 2)))
     raise ValueError(f"unknown benchmark prior {kind!r}")
@@ -202,8 +200,7 @@ def _bench_prior(kind: str, n: int, p: int, gaussian_var: float) -> PriorSpec:
 
 def run_benchmark(ns, ps, methods, config: MHConfig, replications: int = 5,
                   seed: int = 0, rw_step_scale: float = 1.0,
-                  prior: str = "gaussian", gaussian_var: float = 2.0,
-                  design_kwargs: dict | None = None) -> BenchResult:
+                  prior: str = "gaussian") -> BenchResult:
     """Run each method on every (n, p) cell over seeded replicates.
 
     Each replicate generates one dataset shared by all methods; method
@@ -214,17 +211,16 @@ def run_benchmark(ns, ps, methods, config: MHConfig, replications: int = 5,
     for m in methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {_METHODS}")
-    design_kwargs = design_kwargs or {}
     records: list[BenchRecord] = []
     for n in ns:
         for p in ps:
-            design = SimDesign(n=n, p=p, replications=replications, **design_kwargs)
+            design = SimDesign(n=n, p=p, replications=replications)
             for rep in range(replications):
                 data_rng = np.random.default_rng(
                     np.random.SeedSequence([int(seed), int(n), int(p), int(rep), 0])
                 )
                 data, _ = simulate_dataset(design, data_rng)
-                prior_spec = _bench_prior(prior, n, p, gaussian_var)
+                prior_spec = _bench_prior(prior, n, p)
                 for k, method in enumerate(methods):
                     run_config = replace(
                         config, seed=_method_seed(seed, n, p, rep, 1 + k)

@@ -242,7 +242,7 @@ def _weighted_quantile(x: np.ndarray, w: np.ndarray, qs: np.ndarray) -> np.ndarr
     return np.interp(qs, pos, xs)
 
 
-def summarize(output, level: float = 0.95, ess_aggregate: str = "min") -> PosteriorSummary:
+def summarize(output, level: float = 0.95) -> PosteriorSummary:
     """Posterior summary of a ChainOutput or ISOutput.
 
     Equal-tailed intervals at the given level; for importance-sampler
@@ -296,11 +296,7 @@ def summarize(output, level: float = 0.95, ess_aggregate: str = "min") -> Poster
 
     lower, upper = bounds[0], bounds[1]
     elapsed = float(getattr(output, "elapsed_seconds", np.nan))
-    tpis = (
-        time_per_independent_sample(elapsed, ess, aggregate=ess_aggregate)
-        if elapsed > 0
-        else float("nan")
-    )
+    tpis = time_per_independent_sample(elapsed, ess) if elapsed > 0 else float("nan")
     return PosteriorSummary(
         mean=mean,
         sd=sd,

@@ -17,11 +17,9 @@ from numpy.linalg import LinAlgError
 __all__ = [
     "Dataset",
     "GaussianPriorParams",
-    "ModelState",
     "log_poisson_likelihood",
     "log_nb_likelihood",
     "log_gaussian_prior",
-    "log_posterior_unnorm",
 ]
 
 # exp(x) overflows double precision above this; proposals past it are rejected
@@ -151,24 +149,6 @@ class GaussianPriorParams:
         return f"GaussianPriorParams(p={self.p}, diagonal={self.is_diagonal})"
 
 
-@dataclass(frozen=True, eq=False)
-class ModelState:
-    """A coefficient vector together with its cached Poisson means."""
-
-    beta: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def from_beta(cls, beta, data: Dataset) -> "ModelState":
-        beta = _frozen_array(beta, ndim=1, name="beta")
-        if beta.size != data.p:
-            raise ValueError(f"beta has length {beta.size}, expected {data.p}")
-        eta = data.X @ beta
-        with np.errstate(over="ignore"):
-            lam = np.exp(eta)
-        return cls(beta=beta, lam=_frozen_array(lam, name="lambda"))
-
-
 def _check_beta(beta, data: Dataset) -> np.ndarray:
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (data.p,):
@@ -238,13 +218,3 @@ def log_gaussian_prior(beta, prior: GaussianPriorParams) -> float:
         quad = float(u @ u)
     return -0.5 * (prior.p * np.log(2.0 * np.pi) + prior.log_det + quad)
 
-
-def log_posterior_unnorm(beta, data: Dataset, prior: GaussianPriorParams) -> float:
-    """Unnormalized log posterior: exact Poisson log-likelihood plus Gaussian
-    log-prior.  This is the target used in the MH ratio and the importance
-    weights; the -inf overflow sentinel propagates from the likelihood.
-    """
-    ll = log_poisson_likelihood(beta, data)
-    if ll == -np.inf:
-        return -np.inf
-    return ll + log_gaussian_prior(beta, prior)

@@ -45,7 +45,6 @@ __all__ = [
     "ChainOutput",
     "ISOutput",
     "StepTrace",
-    "mh_step",
     "mh_run",
     "is_run",
     "random_walk_mh",
@@ -396,30 +395,6 @@ class _PGKernel:
         log_alpha = log_post_ratio + log_q_ratio
         accepted = log_alpha >= 0.0 or np.log(u) < log_alpha
         return (star if accepted else state), beta_star, accepted, log_alpha
-
-
-def mh_step(beta_prev, data: Dataset, prior_effective: GaussianPriorParams,
-            policy: TuningPolicy, rng: np.random.Generator,
-            diagnostics: TuningDiagnostics | None = None):
-    """One MH transition from ``beta_prev`` under a fixed effective prior.
-
-    Builds the forward proposal at ``beta_prev``, draws beta*, rebuilds the
-    backward proposal anchored at beta*, and accepts with probability
-    min(1, exp(log_alpha)) using a single uniform.  A numeric failure in
-    either proposal build rejects the move (log_alpha = -inf).
-
-    Returns ``(beta_next, accepted, log_alpha)``.
-    """
-    beta_prev = np.asarray(beta_prev, dtype=np.float64)
-    if not np.all(np.isfinite(beta_prev)):
-        raise ValueError("beta_prev must be finite")
-    tdiag = diagnostics if diagnostics is not None else TuningDiagnostics()
-    kernel = _PGKernel(data, policy, tdiag)
-    state = kernel.make_state(beta_prev)
-    z = rng.standard_normal(data.p)
-    u = rng.uniform()
-    state, _, accepted, log_alpha = kernel.step(state, prior_effective, z, u)
-    return state.beta, accepted, float(log_alpha)
 
 
 def mh_run(data: Dataset, prior: PriorSpec, config: MHConfig,

@@ -10,8 +10,7 @@ and vanishes as r -> infinity; it equals the empirical sup-ratio distance
 attained at y = 0 (see ``empirical_cdf_ratio_distance``, used in the tests
 to validate it by brute force).
 
-The normative solver is bisection on d_A.  When ``use_closed_form`` is set,
-a Lambert-W closed form is tried first: with L = lambda - log(1+d) the
+A Lambert-W closed form is tried first: with L = lambda - log(1+d) the
 equation d_A(lambda, r) = d is solved exactly by
 
     r = -lambda * L / (L + lambda * W(-(L/lambda) * exp(-L/lambda)))
@@ -19,7 +18,7 @@ equation d_A(lambda, r) = d is solved exactly by
 on the W_{-1} branch; the principal branch yields the degenerate root
 r = infinity, so it is never tried.  A candidate is accepted only if it is
 finite, inside [r_min, r_max] and reproduces the target distance to 1e-6
-relative; anything else falls back to bisection and is counted in
+relative; anything else falls back to bisection on d_A and is counted in
 ``TuningDiagnostics``.
 """
 
@@ -50,12 +49,11 @@ _BOUND_SLACK = 1.0 + 1e-6
 
 @dataclass(frozen=True)
 class TuningPolicy:
-    """Distance bound and solver options for the per-observation r_i."""
+    """Distance bound and range of the per-observation r_i."""
 
     d: float
     r_min: float = 1e-2
     r_max: float = 1e6
-    use_closed_form: bool = True
 
     def __post_init__(self):
         if not (self.d > 0 and math.isfinite(self.d)):
@@ -274,19 +272,16 @@ def _solve_r_many(lams: np.ndarray, policy: TuningPolicy, diagnostics: TuningDia
     if not interior.any():
         return r
     lam_i = lams[interior]
-    out_i = np.full(lam_i.shape, np.nan)
-    if policy.use_closed_form:
-        cand = _closed_form_r(lam_i, d)
-        # NaN and infinite candidates fail the range test
-        usable = (cand >= policy.r_min) & (cand <= policy.r_max)
-        # accept only near-exact roots; a sloppy candidate that merely
-        # satisfies the one-sided bound would silently overshoot r
-        usable[usable] = np.abs(_distance_raw(lam_i[usable], cand[usable]) - d) <= 1e-6 * d
-        out_i[usable] = cand[usable]
+    out_i = _closed_form_r(lam_i, d)
+    # NaN and infinite candidates fail the range test
+    usable = (out_i >= policy.r_min) & (out_i <= policy.r_max)
+    # accept only near-exact roots; a sloppy candidate that merely
+    # satisfies the one-sided bound would silently overshoot r
+    usable[usable] = np.abs(_distance_raw(lam_i[usable], out_i[usable]) - d) <= 1e-6 * d
 
-    for j in np.flatnonzero(np.isnan(out_i)):
+    for j in np.flatnonzero(~usable):
         out_i[j] = _bisect_r(float(lam_i[j]), policy)
-        if policy.use_closed_form and diagnostics is not None:
+        if diagnostics is not None:
             diagnostics.closed_form_fallbacks += 1
     r[interior] = out_i
     return r

@@ -7,11 +7,9 @@ from scipy.linalg import LinAlgError
 from poisbayes import (
     Dataset,
     GaussianPriorParams,
-    ModelState,
     log_gaussian_prior,
     log_nb_likelihood,
     log_poisson_likelihood,
-    log_posterior_unnorm,
 )
 
 
@@ -52,13 +50,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.X[0, 0] = 5.0
 
-    def test_model_state_caches_lambda(self):
-        ds = make([3, 1], [[1.0, 0.5], [1.0, -0.5]])
-        beta = np.array([0.4, 1.2])
-        state = ModelState.from_beta(beta, ds)
-        np.testing.assert_allclose(state.lam, np.exp(ds.X @ beta), rtol=1e-12)
-        assert np.all(state.lam > 0)
-
 
 class TestLogPoissonLikelihood:
     def test_zero_count_unit_lambda(self):
@@ -88,6 +79,17 @@ class TestLogPoissonLikelihood:
         ds = make([1], [[1.0]])
         with pytest.raises(ValueError):
             log_poisson_likelihood([np.nan], ds)
+
+    def test_permutation_invariance(self):
+        rng = np.random.default_rng(11)
+        n, p = 17, 3
+        X = rng.standard_normal((n, p))
+        y = rng.poisson(2.0, n)
+        beta = rng.standard_normal(p) * 0.3
+        perm = rng.permutation(n)
+        a = log_poisson_likelihood(beta, make(y, X))
+        b = log_poisson_likelihood(beta, make(y[perm], X[perm]))
+        assert a == pytest.approx(b, rel=1e-14)
 
 
 class TestLogNbLikelihood:
@@ -173,32 +175,3 @@ class TestLogGaussianPrior:
         dens = np.array([math.exp(log_gaussian_prior([b], prior)) for b in grid])
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
 
-
-class TestLogPosterior:
-    def test_is_sum_of_components(self, toy_1d):
-        prior = GaussianPriorParams([0.0], [[1.0]])
-        beta = [0.4]
-        expected = log_poisson_likelihood(beta, toy_1d) + log_gaussian_prior(beta, prior)
-        assert log_posterior_unnorm(beta, toy_1d, prior) == expected
-
-    def test_sentinel_propagates(self, toy_1d):
-        prior = GaussianPriorParams([0.0], [[1.0]])
-        assert log_posterior_unnorm([800.0], toy_1d, prior) == -np.inf
-
-    def test_hand_value_1d(self):
-        ds = make([1], [[1.0]])
-        prior = GaussianPriorParams([0.0], [[1.0]])
-        expected = -1.0 - 0.5 * math.log(2 * math.pi)
-        assert log_posterior_unnorm([0.0], ds, prior) == pytest.approx(expected, abs=1e-12)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(11)
-        n, p = 17, 3
-        X = rng.standard_normal((n, p))
-        y = rng.poisson(2.0, n)
-        beta = rng.standard_normal(p) * 0.3
-        prior = GaussianPriorParams(np.zeros(p), np.eye(p) * 2.0)
-        perm = rng.permutation(n)
-        a = log_posterior_unnorm(beta, make(y, X), prior)
-        b = log_posterior_unnorm(beta, make(y[perm], X[perm]), prior)
-        assert a == pytest.approx(b, rel=1e-14)

@@ -17,6 +17,7 @@ from poisbayes import (
     HorseshoePrior,
     HorseshoeState,
     MHConfig,
+    TuningDiagnostics,
     TuningPolicy,
     build_proposal,
     compute_r_vector,
@@ -27,7 +28,6 @@ from poisbayes import (
     log_gaussian_prior,
     log_poisson_likelihood,
     mh_run,
-    mh_step,
     poisson_mle,
     proposal_logpdf,
     random_walk_mh,
@@ -41,18 +41,8 @@ def unit_prior(p=1, var=1.0):
     return GaussianPriorParams(np.zeros(p), var * np.eye(p))
 
 
-class ScriptedRng:
-    """Feeds prescribed normals/uniforms to a sampler step."""
-
-    def __init__(self, z, u=0.5):
-        self._z = np.asarray(z, dtype=float)
-        self._u = u
-
-    def standard_normal(self, size=None):
-        return self._z.copy()
-
-    def uniform(self):
-        return self._u
+def pg_kernel(data, policy):
+    return samplers_mod._PGKernel(data, policy, TuningDiagnostics())
 
 
 class TestMHStep:
@@ -68,10 +58,11 @@ class TestMHStep:
         r = compute_r_vector(beta_prev, toy_1d, policy)
         prop = build_proposal(beta_prev, toy_1d, r, prior)
         z_star = solve_triangular(prop.L, beta_prev - prop.m, lower=True)
-        beta_next, accepted, log_alpha = mh_step(
-            beta_prev, toy_1d, prior, policy, ScriptedRng(z_star, u=0.999999)
+        kernel = pg_kernel(toy_1d, policy)
+        state, _, accepted, log_alpha = kernel.step(
+            kernel.make_state(beta_prev), prior, z_star, 0.999999
         )
-        np.testing.assert_allclose(beta_next, beta_prev, rtol=1e-12)
+        np.testing.assert_allclose(state.beta, beta_prev, rtol=1e-12)
         assert abs(log_alpha) < 1e-9
         assert accepted
 
@@ -87,17 +78,18 @@ class TestMHStep:
         prior = unit_prior()
         policy = TuningPolicy(d=0.1)
         # enormous forced z pushes the proposal into likelihood overflow
-        beta_next, accepted, log_alpha = mh_step(
-            np.array([0.0]), toy_1d, prior, policy, ScriptedRng([1e5], u=0.5)
+        kernel = pg_kernel(toy_1d, policy)
+        state, _, accepted, log_alpha = kernel.step(
+            kernel.make_state(np.array([0.0])), prior, np.array([1e5]), 0.5
         )
         assert not accepted
         assert log_alpha == -np.inf
-        np.testing.assert_array_equal(beta_next, [0.0])
+        np.testing.assert_array_equal(state.beta, [0.0])
 
     def test_requires_finite_start(self, toy_1d):
-        with pytest.raises(ValueError):
-            mh_step(np.array([np.nan]), toy_1d, unit_prior(), TuningPolicy(d=0.1),
-                    np.random.default_rng(0))
+        config = MHConfig(iterations=10, burnin=0, init_beta=np.array([np.nan]))
+        with pytest.raises(ValueError, match="non-finite"):
+            mh_run(toy_1d, FixedGaussianPrior(unit_prior()), config)
 
 
 class TestMHRun:
@@ -114,12 +106,15 @@ class TestMHRun:
         prior = unit_prior()
         config = MHConfig(iterations=12, burnin=0, tuning=policy, seed=42)
         out = mh_run(toy_1d, FixedGaussianPrior(prior), config, keep_burnin=True)
+        # the same normal and uniform per iteration, in mh_run's order
         rng = np.random.default_rng(42)
-        beta = poisson_mle(toy_1d)
+        kernel = pg_kernel(toy_1d, policy)
+        state = kernel.make_state(poisson_mle(toy_1d))
         manual = np.empty((12, 1))
         for t in range(12):
-            beta, _, _ = mh_step(beta, toy_1d, prior, policy, rng)
-            manual[t] = beta
+            z = rng.standard_normal(1)
+            state, _, _, _ = kernel.step(state, prior, z, rng.uniform())
+            manual[t] = state.beta
         np.testing.assert_array_equal(out.full_draws, manual)
 
     def test_acceptance_rate_definition(self, toy_1d):

@@ -19,7 +19,7 @@ from poisbayes import (
 class TestPolicy:
     def test_defaults(self):
         policy = TuningPolicy(d=0.1)
-        assert policy.r_min == 1e-2 and policy.r_max == 1e6 and policy.use_closed_form
+        assert policy.r_min == 1e-2 and policy.r_max == 1e6
 
     @pytest.mark.parametrize("kwargs", [
         {"d": 0.0}, {"d": -1.0}, {"d": 0.1, "r_min": 0.0},
@@ -133,12 +133,9 @@ class TestSolveR:
     def test_fast_path_matches_bisection(self):
         for lam in (0.5, 1.0, 5.0, 10.0, 20.0, 100.0):
             for d in (0.5, 0.1, 0.01):
-                fast = solve_r(lam, TuningPolicy(d=d, use_closed_form=True))
-                slow = solve_r(lam, TuningPolicy(d=d, use_closed_form=False))
-                if fast in (1e-2, 1e6):
-                    assert fast == slow
-                else:
-                    assert fast == pytest.approx(slow, rel=1e-6)
+                policy = TuningPolicy(d=d)
+                slow = tuning._bisect_r(lam, policy)
+                assert solve_r(lam, policy) == pytest.approx(slow, rel=1e-6)
 
     def test_round_trip_bound(self):
         for lam in (0.5, 1.0, 5.0, 20.0, 100.0, 200.0):
@@ -174,10 +171,11 @@ class TestComputeRVector:
         np.testing.assert_allclose(r, 1.0, rtol=1e-6)
 
     def test_monotone_in_lambda(self):
-        policy = TuningPolicy(d=0.05, use_closed_form=False)
+        policy = TuningPolicy(d=0.05)
         lams = np.array([0.5, 1.0, 2.0, 8.0, 30.0, 120.0])
-        rs = tuning.r_vector_for_lambdas(lams, policy)
-        assert np.all(np.diff(rs) > 0)
+        for rs in (tuning.r_vector_for_lambdas(lams, policy),
+                   [tuning._bisect_r(lam, policy) for lam in lams]):
+            assert np.all(np.diff(rs) > 0)
 
     def test_rounding_cache_key(self):
         # lambdas equal to 12 significant digits share one solve
