@@ -287,24 +287,11 @@ def _solve_r_many(lams: np.ndarray, policy: TuningPolicy, diagnostics: TuningDia
     return r
 
 
-def _round_sig(x: np.ndarray, sig: int = 12) -> np.ndarray:
-    """Round to ``sig`` significant digits (cache key for repeated lambdas)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = x.copy()
-    pos = np.isfinite(x) & (x != 0)
-    if np.any(pos):
-        mag = np.floor(np.log10(np.abs(x[pos])))
-        scale = 10.0 ** (sig - 1 - mag)
-        out[pos] = np.round(x[pos] * scale) / scale
-    return out
-
-
 def compute_r_vector(beta, data, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> np.ndarray:
     """Per-observation r_i = solve_r(exp(x_i' beta), policy).
 
-    Lambdas equal after rounding to 12 significant digits share one solve
-    (categorical designs produce many ties), so the result is a deterministic
-    function of the rounded lambda vector.
+    Bitwise-equal lambdas share one solve; categorical designs, whose rows
+    repeat, produce many such ties.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (data.p,):
@@ -317,7 +304,6 @@ def compute_r_vector(beta, data, policy: TuningPolicy, diagnostics: TuningDiagno
 def r_vector_for_lambdas(lam, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> np.ndarray:
     """Same as ``compute_r_vector`` but starting from precomputed lambdas."""
     lam = np.asarray(lam, dtype=np.float64)
-    keys = _round_sig(lam)
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    uniq, inverse = np.unique(lam, return_inverse=True)
     solved = _solve_r_many(uniq, policy, diagnostics)
     return solved[inverse]

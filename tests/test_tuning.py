@@ -177,13 +177,6 @@ class TestComputeRVector:
                    [tuning._bisect_r(lam, policy) for lam in lams]):
             assert np.all(np.diff(rs) > 0)
 
-    def test_rounding_cache_key(self):
-        # lambdas equal to 12 significant digits share one solve
-        policy = TuningPolicy(d=0.1)
-        lams = np.array([1.0, 1.0 + 1e-14])
-        rs = tuning.r_vector_for_lambdas(lams, policy)
-        assert rs[0] == rs[1]
-
     def test_solve_count_deduplicates(self):
         diag = TuningDiagnostics()
         lams = np.array([2.0, 2.0, 2.0, 5.0])
