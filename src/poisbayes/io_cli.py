@@ -23,6 +23,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -180,11 +181,14 @@ class RunConfig:
 
 def _parse_cell(raw: str, row: int, name: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise DataError(
             f"row {row}, column {name!r}: cannot parse {raw!r} as a number"
         ) from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row}, column {name!r}: {raw!r} is not a finite number")
+    return value
 
 
 def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
@@ -232,12 +236,13 @@ def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
         raw = [body[i][idx].strip() for i in range(n)]
         if spec.kind == "response":
             vals = np.array([_parse_cell(v, i + 2, spec.name) for i, v in enumerate(raw)])
-            bad = np.flatnonzero((vals < 0) | (vals != np.floor(vals)) | ~np.isfinite(vals))
+            # counts are held as int64
+            bad = np.flatnonzero((vals < 0) | (vals != np.floor(vals)) | (vals >= 2**63))
             if bad.size:
                 i = int(bad[0])
                 raise DataError(
                     f"row {i + 2}, column {spec.name!r}: response must be a "
-                    f"non-negative integer, got {raw[i]!r}"
+                    f"non-negative integer below 2**63, got {raw[i]!r}"
                 )
             y = vals
         elif spec.kind == "numeric":
@@ -269,7 +274,10 @@ def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
     if y is None:  # pragma: no cover - guarded above
         raise ConfigError("no response column")
     X = np.hstack(blocks)
-    return Dataset(y=y, X=X, column_names=tuple(names))
+    try:
+        return Dataset(y=y, X=X, column_names=tuple(names))
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def write_dataset(dataset: Dataset, path: str, response_name: str = "y",
@@ -389,24 +397,25 @@ def load_draws(path: str):
 
 
 def _build_prior(config: RunConfig, data: Dataset) -> PriorSpec:
-    if config.prior_kind == "gaussian":
-        params = GaussianPriorParams(
-            np.full(data.p, config.prior_mean),
-            config.prior_var * np.eye(data.p),
-        )
-        return FixedGaussianPrior(params)
-    tau = config.tau if config.tau is not None else tau_optimal(data.n, int(config.p_n))
-    return HorseshoePrior(tau=float(tau))
+    with _config_errors():
+        if config.prior_kind == "gaussian":
+            params = GaussianPriorParams(
+                np.full(data.p, config.prior_mean),
+                config.prior_var * np.eye(data.p),
+            )
+            return FixedGaussianPrior(params)
+        tau = config.tau if config.tau is not None else tau_optimal(data.n, config.p_n)
+        return HorseshoePrior(tau=float(tau))
 
 
 @contextlib.contextmanager
 def _config_errors():
-    """Report the library's ValueError for an out-of-range argument as a
-    ConfigError (exit code 2); the range rules themselves live in the
+    """Report the library's error for an out-of-range or mistyped argument
+    as a ConfigError (exit code 2); the range rules themselves live in the
     library's configs."""
     try:
         yield
-    except ValueError as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(str(e)) from None
 
 

@@ -63,6 +63,8 @@ class Dataset:
             raise ValueError("y contains non-finite entries")
         if np.any(y < 0) or np.any(y != np.floor(y)):
             raise ValueError("y must contain non-negative integers")
+        if np.any(y >= 2**63):
+            raise ValueError("y must stay below 2**63 to be held as int64 counts")
         X = _frozen_array(self.X, ndim=2, name="X")
         if X.shape[1] < 1:
             raise ValueError("X needs at least one column")
@@ -109,6 +111,8 @@ class GaussianPriorParams:
     def __init__(self, b, B):
         b = _frozen_array(b, ndim=1, name="b")
         B = _frozen_array(B, ndim=2, name="B")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(B))):
+            raise ValueError("prior mean or covariance contains non-finite entries")
         p = b.size
         if B.shape != (p, p):
             raise ValueError(f"B has shape {B.shape}, expected ({p}, {p})")

@@ -30,14 +30,16 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def _chol_lower(a):
-    return np.linalg.cholesky(a)
 # below this |c| the tanh form of the PG mean is evaluated as its limit b/4
 _PG_SMALL_C = 1e-8
 _JITTER_BASE = 1e-10
 _JITTER_RETRIES = 3
+
+
+def _chol_lower(a):
+    """The factorisation ``_factor`` calls, kept as a module name so a test
+    can substitute a failing one to drive the jitter retries."""
+    return np.linalg.cholesky(a)
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,6 +168,8 @@ class ISOutput:
 
 def tau_optimal(n: int, p_n: int) -> float:
     """Global horseshoe scale (p_n/n) sqrt(log(n/p_n)) for p_n non-null signals."""
+    if int(p_n) != p_n:
+        raise ValueError(f"p_n must be an integer, got {p_n!r}")
     n = int(n)
     p_n = int(p_n)
     if n < 1 or p_n < 1:

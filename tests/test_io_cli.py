@@ -93,6 +93,25 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"row 3, column 'x'"):
             load_dataset(path, (ColumnSpec("y", "response"), ColumnSpec("x", "numeric")))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_numeric_cell_names_coordinates(self, tmp_path, cell):
+        path = write_csv(tmp_path / "bad.csv", f"y,x\n1,0.5\n2,{cell}\n")
+        with pytest.raises(DataError, match=r"row 3, column 'x'.*not a finite number"):
+            load_dataset(path, (ColumnSpec("y", "response"), ColumnSpec("x", "numeric")))
+
+    @pytest.mark.parametrize("cell", ["1e19", "9223372036854775808"])
+    def test_count_beyond_int64_names_cell(self, tmp_path, cell):
+        path = write_csv(tmp_path / "bad.csv", f"y\n1\n{cell}\n")
+        with pytest.raises(DataError, match=r"row 3, column 'y'.*below 2\*\*63"):
+            load_dataset(path, (ColumnSpec("y", "response"),))
+
+    def test_overflowing_standardization_is_data_error(self, tmp_path):
+        path = write_csv(tmp_path / "big.csv", "y,x\n1,1.7e308\n2,1.7e308\n3,-1.7e308\n")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DataError, match="non-finite"):
+            load_dataset(path, (ColumnSpec("y", "response"),
+                                ColumnSpec("x", "numeric", standardize=True)))
+
     def test_unknown_column(self, factor_csv):
         with pytest.raises(DataError, match="unknown column"):
             load_dataset(factor_csv, (ColumnSpec("y", "response"), ColumnSpec("zz", "numeric")))
@@ -228,6 +247,25 @@ class TestCLI:
         elif argv[0] == "benchmark":
             argv = argv + ["--grid", "n=20;p=2", "--out", str(tmp_path / "b.csv")]
         assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("prior", [
+        {"kind": "horseshoe", "p_n": 10},
+        {"kind": "horseshoe", "p_n": 0},
+        {"kind": "horseshoe", "p_n": 2.5},
+        {"kind": "horseshoe", "p_n": "two"},
+        {"kind": "horseshoe", "p_n": [1]},
+        {"kind": "horseshoe", "p_n": float("inf")},
+        {"kind": "horseshoe", "tau": -1.0},
+        {"kind": "gaussian", "var": 0},
+        {"kind": "gaussian", "var": float("nan")},
+        {"kind": "gaussian", "mean": float("inf")},
+    ], ids=["pn_ge_n", "pn_zero", "pn_fractional", "pn_text", "pn_list", "pn_inf",
+            "tau_negative", "var_zero", "var_nan", "mean_inf"])
+    def test_out_of_range_prior_exits_2(self, toy_files, prior, capsys):
+        tmp_path, data_path, _ = toy_files
+        config_path, _ = run_config(tmp_path, data_path, prior=prior)
+        assert run_cli(["fit", "--config", config_path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_data_file_exits_3(self, toy_files):

@@ -33,6 +33,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-negative integers"):
             make([1.5, 2], [[1.0], [1.0]])
 
+    def test_rejects_counts_beyond_int64(self):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            make([1, 1e19], [[1.0], [1.0]])
+
     def test_rejects_nonfinite_design(self):
         with pytest.raises(ValueError, match="non-finite"):
             make([1, 2], [[np.inf], [1.0]])
@@ -164,6 +168,12 @@ class TestLogGaussianPrior:
     def test_non_pd_names_leading_minor(self):
         with pytest.raises(LinAlgError, match="leading minor"):
             GaussianPriorParams([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_nonfinite_entries_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianPriorParams([np.inf], [[1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianPriorParams([0.0], [[np.nan]])
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -275,6 +275,8 @@ class TestHorseshoe:
             tau_optimal(10, 10)
         with pytest.raises(ValueError):
             tau_optimal(10, 0)
+        with pytest.raises(ValueError, match="integer"):
+            tau_optimal(10, 2.5)
 
     def test_update_stays_positive(self):
         rng = np.random.default_rng(2)
