@@ -134,8 +134,10 @@ class TestSolveR:
         for lam in (0.5, 1.0, 5.0, 10.0, 20.0, 100.0):
             for d in (0.5, 0.1, 0.01):
                 policy = TuningPolicy(d=d)
-                slow = tuning._bisect_r(lam, policy)
-                assert solve_r(lam, policy) == pytest.approx(slow, rel=1e-6)
+                diag = TuningDiagnostics()
+                fast = solve_r(lam, policy, diag)
+                assert diag.closed_form_fallbacks == 0
+                assert fast == pytest.approx(tuning._bisect_r(lam, policy), rel=1e-6)
 
     def test_round_trip_bound(self):
         for lam in (0.5, 1.0, 5.0, 20.0, 100.0, 200.0):
