@@ -52,9 +52,7 @@ class SimDesign:
 
     n: int
     p: int
-    replications: int = 50
     seed: int = 0
-    n_continuous: int | None = None
     lambda_lo: float = 1.0
     lambda_hi: float = 200.0
 
@@ -63,25 +61,15 @@ class SimDesign:
             raise ValueError("n and p must be at least 1")
         if not 0 < self.lambda_lo < self.lambda_hi:
             raise ValueError("need 0 < lambda_lo < lambda_hi")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
-        n_cont = self.continuous_columns
-        if not 0 <= n_cont <= self.p - 1:
-            raise ValueError(f"n_continuous={n_cont} does not fit p={self.p} with intercept")
-
-    @property
-    def continuous_columns(self) -> int:
-        if self.n_continuous is not None:
-            return self.n_continuous
-        return math.ceil((self.p - 1) / 2)
 
 
 def simulate_dataset(design: SimDesign, rng: np.random.Generator) -> tuple[Dataset, np.ndarray]:
     """Draw a synthetic Poisson regression dataset with all means inside
     [lambda_lo, lambda_hi].
 
-    The design is an intercept column plus continuous covariates (standard
-    normal, then exactly standardized) and binary dummies (uniform levels).
+    The design is an intercept column plus ceil((p-1)/2) continuous
+    covariates (standard normal, then exactly standardized) and binary
+    dummies (uniform levels) for the remaining columns.
     Coefficients are N(0, 0.5^2), rescaled by the largest s <= 1 (binary
     search) for which the linear-predictor spread fits inside
     log(hi/lo); the intercept is then set to pin the band at the lower
@@ -89,7 +77,7 @@ def simulate_dataset(design: SimDesign, rng: np.random.Generator) -> tuple[Datas
     everywhere.  The draw is rejected and retried when s < 0.05.
     """
     n, p = design.n, design.p
-    n_cont = design.continuous_columns
+    n_cont = math.ceil((p - 1) / 2)
     n_cat = p - 1 - n_cont
     budget = math.log(design.lambda_hi / design.lambda_lo) - 2.0 * _EDGE_MARGIN
 
@@ -211,10 +199,12 @@ def run_benchmark(ns, ps, methods, config: MHConfig, replications: int = 5,
     for m in methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {_METHODS}")
+    if replications < 1:
+        raise ValueError("replications must be positive")
     records: list[BenchRecord] = []
     for n in ns:
         for p in ps:
-            design = SimDesign(n=n, p=p, replications=replications)
+            design = SimDesign(n=n, p=p)
             for rep in range(replications):
                 data_rng = np.random.default_rng(
                     np.random.SeedSequence([int(seed), int(n), int(p), int(rep), 0])

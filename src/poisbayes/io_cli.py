@@ -248,7 +248,13 @@ def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
         elif spec.kind == "numeric":
             vals = np.array([_parse_cell(v, i + 2, spec.name) for i, v in enumerate(raw)])
             if spec.standardize:
-                sd = float(vals.std())
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sd = float(vals.std())
+                if not math.isfinite(sd):
+                    raise DataError(
+                        f"column {spec.name!r}: standard deviation is non-finite "
+                        "(values too large to standardize)"
+                    )
                 if sd == 0.0:
                     raise DataError(
                         f"column {spec.name!r}: constant column cannot be standardized"
@@ -422,10 +428,10 @@ def _config_errors():
 def _mh_config(iterations, burnin, d, seed) -> MHConfig:
     with _config_errors():
         return MHConfig(
-            iterations=int(iterations),
-            burnin=int(burnin),
+            iterations=iterations,
+            burnin=burnin,
             tuning=TuningPolicy(d=float(d)),
-            seed=int(seed),
+            seed=seed,
         )
 
 

@@ -102,10 +102,11 @@ class Dataset:
 class GaussianPriorParams:
     """Parameters (b, B) of a Gaussian prior on the regression coefficients.
 
-    B must be symmetric (within 1e-10) and positive definite.  The inverse
-    of its lower Cholesky factor, B^{-1}, B^{-1} b and log det B are
-    computed once at construction; for a diagonal B these come from
-    elementwise reciprocals, never from a matrix inverse.
+    B must be symmetric (within 1e-10) and positive definite.  B^{-1},
+    B^{-1} b and log det B are computed once at construction, and for a
+    non-diagonal B the inverse of its lower Cholesky factor too; for a
+    diagonal B they come from elementwise reciprocals, never from a matrix
+    inverse.
     """
 
     def __init__(self, b, B):
@@ -129,7 +130,6 @@ class GaussianPriorParams:
                 raise LinAlgError(
                     f"{k}-th leading minor of the array is not positive definite"
                 )
-            self._chol_inv = np.diag(1.0 / np.sqrt(diag))
             self.log_det = float(np.sum(np.log(diag)))
             self.B_inv = np.diag(1.0 / diag)
             self.B_inv_b = b / diag
@@ -140,9 +140,10 @@ class GaussianPriorParams:
             chol = cholesky(B, lower=True)
             self.log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
             self._chol_inv = solve_triangular(chol, np.eye(p), lower=True)
+            self._chol_inv.setflags(write=False)
             self.B_inv = cho_solve((chol, True), np.eye(p))
             self.B_inv_b = cho_solve((chol, True), b)
-        for arr in (self._chol_inv, self.B_inv, self.B_inv_b):
+        for arr in (self.B_inv, self.B_inv_b):
             arr.setflags(write=False)
 
     @property

@@ -44,23 +44,19 @@ def _chol_lower(a):
 
 @dataclass(frozen=True, eq=False)
 class ProposalDensity:
-    """A multivariate Gaussian N(m, V) anchored at a coefficient vector.
+    """A multivariate Gaussian N(m, V).
 
-    ``L`` is the lower Cholesky factor of V, ``L_inv`` its inverse (taken
-    from ``L`` if not given) and ``log_det_V`` is 2 * sum(log diag L).  The
-    anchor is the beta it was built at, so samplers can reuse builds.
+    ``L`` is the lower Cholesky factor of V, ``L_inv`` its inverse and
+    ``log_det_V`` is 2 * sum(log diag L).
     """
 
     m: np.ndarray
     L: np.ndarray
     log_det_V: float
-    anchor: np.ndarray
-    L_inv: np.ndarray | None = None
+    L_inv: np.ndarray
 
     def __post_init__(self):
-        if self.L_inv is None:
-            object.__setattr__(self, "L_inv", np.tril(np.linalg.inv(self.L)))
-        for name in ("m", "L", "anchor", "L_inv"):
+        for name in ("m", "L", "L_inv"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -101,7 +97,7 @@ def build_proposal(beta_anchor, data: Dataset, r, prior: GaussianPriorParams) ->
     if beta_anchor.shape != (data.p,):
         raise ValueError(f"anchor has shape {beta_anchor.shape}, expected ({data.p},)")
     eta = data.X @ beta_anchor
-    return _factor(*_data_terms(eta, data, r), beta_anchor, prior)
+    return _factor(*_data_terms(eta, data, r), prior)
 
 
 def _data_terms(eta, data: Dataset, r):
@@ -122,7 +118,7 @@ def _data_terms(eta, data: Dataset, r):
     return data.X.T @ (omega[:, None] * data.X), data.X.T @ kappa
 
 
-def _factor(gram, x_kappa, beta_anchor, prior: GaussianPriorParams) -> "ProposalDensity":
+def _factor(gram, x_kappa, prior: GaussianPriorParams) -> "ProposalDensity":
     """The proposal N(m, V) from its data terms and the prior:
     V^{-1} = X' Omega X + B^{-1} and V^{-1} m = X' kappa + B^{-1} b."""
     precision = gram + prior.B_inv
@@ -152,7 +148,7 @@ def _factor(gram, x_kappa, beta_anchor, prior: GaussianPriorParams) -> "Proposal
     L = np.tril(np.linalg.inv(L_inv))
     m = L @ (L.T @ rhs)
     log_det_v = -2.0 * float(np.sum(np.log(np.diagonal(chol_rev))))
-    return ProposalDensity(m=m, L=L, log_det_V=log_det_v, anchor=beta_anchor, L_inv=L_inv)
+    return ProposalDensity(m=m, L=L, log_det_V=log_det_v, L_inv=L_inv)
 
 
 def sample_proposal(prop: ProposalDensity, rng: np.random.Generator) -> np.ndarray:

@@ -56,6 +56,9 @@ __all__ = [
 # above glibc's default 128 KiB mmap threshold and below the 4 MiB from which
 # numpy advises huge pages for an array; never written, so never resident
 _ALLOCATOR_WARMUP_BYTES = 2 << 20
+# ridge penalty and Newton-step cap of ``poisson_mle``
+_MLE_RIDGE = 1e-8
+_MLE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,10 @@ class MHConfig:
     init_beta: Union[str, np.ndarray] = "mle"
 
     def __post_init__(self):
+        for name in ("iterations", "burnin", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or int(value) != value:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if int(self.iterations) < 1:
             raise ValueError("iterations must be positive")
         if not 0 <= int(self.burnin) < int(self.iterations):
@@ -195,7 +202,7 @@ def horseshoe_update(beta, state: HorseshoeState, tau: float, rng: np.random.Gen
     return HorseshoeState(eta2=eta2, nu=nu)
 
 
-def poisson_mle(data: Dataset, ridge: float = 1e-8, max_iter: int = 100) -> np.ndarray:
+def poisson_mle(data: Dataset) -> np.ndarray:
     """Deterministic ridge-stabilized Poisson fit, used as the default chain
     initialization.
 
@@ -204,11 +211,11 @@ def poisson_mle(data: Dataset, ridge: float = 1e-8, max_iter: int = 100) -> np.n
     tiny ridge keeps the optimum finite under separation.
     """
     X, y = data.X, data._yf
-    eye = ridge * np.eye(data.p)
+    eye = _MLE_RIDGE * np.eye(data.p)
 
     def objective(beta):
         eta = np.clip(X @ beta, -30.0, 30.0)
-        return float(y @ eta - np.exp(eta).sum() - 0.5 * ridge * (beta @ beta))
+        return float(y @ eta - np.exp(eta).sum() - 0.5 * _MLE_RIDGE * (beta @ beta))
 
     mu0 = y + 0.5
     try:
@@ -216,10 +223,10 @@ def poisson_mle(data: Dataset, ridge: float = 1e-8, max_iter: int = 100) -> np.n
     except np.linalg.LinAlgError:
         beta = np.zeros(data.p)
     obj = objective(beta)
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         eta = np.clip(X @ beta, -30.0, 30.0)
         lam = np.exp(eta)
-        grad = X.T @ (y - lam) - ridge * beta
+        grad = X.T @ (y - lam) - _MLE_RIDGE * beta
         hess = X.T @ (lam[:, None] * X) + eye
         try:
             step = np.linalg.solve(hess, grad)
@@ -364,7 +371,7 @@ class _PGKernel:
         if state.fwd is None or state.fwd_prior is not prior:
             if state.terms is None:
                 state.terms = _data_terms(state.eta, self.data, state.r)
-            state.fwd = _factor(*state.terms, state.beta, prior)
+            state.fwd = _factor(*state.terms, prior)
             state.fwd_prior = prior
         return state.fwd
 

@@ -19,13 +19,16 @@ on the W_{-1} branch; the principal branch yields the degenerate root
 r = infinity, so it is never tried.  A candidate is accepted only if it is
 finite, inside [r_min, r_max] and reproduces the target distance to 1e-6
 relative; anything else falls back to bisection on d_A and is counted in
-``TuningDiagnostics``.
+``TuningDiagnostics``.  Every observation's lambda is solved in one
+vectorized pass, ties included: a dedup of equal lambdas cost more than it
+saved even on designs with two distinct means.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,24 +52,23 @@ _BOUND_SLACK = 1.0 + 1e-6
 
 @dataclass(frozen=True)
 class TuningPolicy:
-    """Distance bound and range of the per-observation r_i."""
+    """Distance bound d of the per-observation r_i, which are kept inside
+    the fixed range [r_min, r_max]."""
 
     d: float
-    r_min: float = 1e-2
-    r_max: float = 1e6
+    r_min: ClassVar[float] = 1e-2
+    r_max: ClassVar[float] = 1e6
 
     def __post_init__(self):
         if not (self.d > 0 and math.isfinite(self.d)):
             raise ValueError(f"d must be positive and finite, got {self.d}")
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError(
-                f"need 0 < r_min < r_max, got r_min={self.r_min}, r_max={self.r_max}"
-            )
 
 
 @dataclass
 class TuningDiagnostics:
-    """Counters filled in by solve_r / compute_r_vector."""
+    """Counters filled in by solve_r / compute_r_vector, per observation:
+    ``solves`` counts every lambda solved, ``closed_form_fallbacks`` every
+    one whose closed-form root was rejected for bisection."""
 
     solves: int = 0
     closed_form_fallbacks: int = 0
@@ -248,12 +250,22 @@ def _closed_form_r(lam, d):
 def solve_r(lam: float, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> float:
     """Smallest r in [r_min, r_max] with nb_poisson_distance(lam, r) <= d,
     or r_max when even r_max misses the bound (cap rule)."""
-    out = _solve_r_many(np.asarray([lam], dtype=np.float64), policy, diagnostics)
-    return float(out[0])
+    return float(r_vector_for_lambdas(np.asarray([lam]), policy, diagnostics)[0])
 
 
-def _solve_r_many(lams: np.ndarray, policy: TuningPolicy, diagnostics: TuningDiagnostics | None) -> np.ndarray:
-    """Vectorized solve over an array of (unique) lambda values."""
+def compute_r_vector(beta, data, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> np.ndarray:
+    """Per-observation r_i = solve_r(exp(x_i' beta), policy)."""
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.shape != (data.p,):
+        raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
+    with np.errstate(over="ignore"):
+        lam = np.exp(data.X @ beta)
+    return r_vector_for_lambdas(lam, policy, diagnostics)
+
+
+def r_vector_for_lambdas(lam, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> np.ndarray:
+    """``solve_r`` for every entry of ``lam`` in one vectorized pass."""
+    lams = np.asarray(lam, dtype=np.float64)
     d = policy.d
     bound = d * _BOUND_SLACK
     r = np.empty_like(lams)
@@ -285,25 +297,3 @@ def _solve_r_many(lams: np.ndarray, policy: TuningPolicy, diagnostics: TuningDia
             diagnostics.closed_form_fallbacks += 1
     r[interior] = out_i
     return r
-
-
-def compute_r_vector(beta, data, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> np.ndarray:
-    """Per-observation r_i = solve_r(exp(x_i' beta), policy).
-
-    Bitwise-equal lambdas share one solve; categorical designs, whose rows
-    repeat, produce many such ties.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (data.p,):
-        raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
-    with np.errstate(over="ignore"):
-        lam = np.exp(data.X @ beta)
-    return r_vector_for_lambdas(lam, policy, diagnostics)
-
-
-def r_vector_for_lambdas(lam, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> np.ndarray:
-    """Same as ``compute_r_vector`` but starting from precomputed lambdas."""
-    lam = np.asarray(lam, dtype=np.float64)
-    uniq, inverse = np.unique(lam, return_inverse=True)
-    solved = _solve_r_many(uniq, policy, diagnostics)
-    return solved[inverse]

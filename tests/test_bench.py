@@ -27,8 +27,6 @@ class TestSimulateDataset:
             SimDesign(n=0, p=5)
         with pytest.raises(ValueError):
             SimDesign(n=10, p=2, lambda_lo=5.0, lambda_hi=1.0)
-        with pytest.raises(ValueError):
-            SimDesign(n=10, p=3, n_continuous=5)
 
     def test_lambda_bounds_always_hold(self):
         rng = np.random.default_rng(0)

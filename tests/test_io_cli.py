@@ -106,11 +106,14 @@ class TestLoadDataset:
             load_dataset(path, (ColumnSpec("y", "response"),))
 
     def test_overflowing_standardization_is_data_error(self, tmp_path):
-        path = write_csv(tmp_path / "big.csv", "y,x\n1,1.7e308\n2,1.7e308\n3,-1.7e308\n")
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DataError, match="non-finite"):
-            load_dataset(path, (ColumnSpec("y", "response"),
-                                ColumnSpec("x", "numeric", standardize=True)))
+        # the first values overflow the mean, the second only the sd
+        for xs in (("1.7e308", "1.7e308", "-1.7e308"), ("1e308", "-1e308", "1e308")):
+            rows = "".join(f"{y},{x}\n" for y, x in zip((1, 2, 3), xs))
+            path = write_csv(tmp_path / "big.csv", "y,x\n" + rows)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DataError, match="non-finite"):
+                load_dataset(path, (ColumnSpec("y", "response"),
+                                    ColumnSpec("x", "numeric", standardize=True)))
 
     def test_unknown_column(self, factor_csv):
         with pytest.raises(DataError, match="unknown column"):
@@ -249,22 +252,25 @@ class TestCLI:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("prior", [
-        {"kind": "horseshoe", "p_n": 10},
-        {"kind": "horseshoe", "p_n": 0},
-        {"kind": "horseshoe", "p_n": 2.5},
-        {"kind": "horseshoe", "p_n": "two"},
-        {"kind": "horseshoe", "p_n": [1]},
-        {"kind": "horseshoe", "p_n": float("inf")},
-        {"kind": "horseshoe", "tau": -1.0},
-        {"kind": "gaussian", "var": 0},
-        {"kind": "gaussian", "var": float("nan")},
-        {"kind": "gaussian", "mean": float("inf")},
+    @pytest.mark.parametrize("overrides", [
+        {"prior": {"kind": "horseshoe", "p_n": 10}},
+        {"prior": {"kind": "horseshoe", "p_n": 0}},
+        {"prior": {"kind": "horseshoe", "p_n": 2.5}},
+        {"prior": {"kind": "horseshoe", "p_n": "two"}},
+        {"prior": {"kind": "horseshoe", "p_n": [1]}},
+        {"prior": {"kind": "horseshoe", "p_n": float("inf")}},
+        {"prior": {"kind": "horseshoe", "tau": -1.0}},
+        {"prior": {"kind": "gaussian", "var": 0}},
+        {"prior": {"kind": "gaussian", "var": float("nan")}},
+        {"prior": {"kind": "gaussian", "mean": float("inf")}},
+        # counts in the config are never truncated to integers
+        {"seed": 1.5}, {"iterations": 300.9}, {"burnin": 50.5}, {"seed": True},
     ], ids=["pn_ge_n", "pn_zero", "pn_fractional", "pn_text", "pn_list", "pn_inf",
-            "tau_negative", "var_zero", "var_nan", "mean_inf"])
-    def test_out_of_range_prior_exits_2(self, toy_files, prior, capsys):
+            "tau_negative", "var_zero", "var_nan", "mean_inf",
+            "seed_fractional", "iterations_fractional", "burnin_fractional", "seed_bool"])
+    def test_out_of_range_prior_exits_2(self, toy_files, overrides, capsys):
         tmp_path, data_path, _ = toy_files
-        config_path, _ = run_config(tmp_path, data_path, prior=prior)
+        config_path, _ = run_config(tmp_path, data_path, **overrides)
         assert run_cli(["fit", "--config", config_path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -76,7 +76,6 @@ class TestBuildProposal:
         # c = 0 - log 1 = 0, E(omega) = (1+1)/4, V = 1/(0.5 + 1), kappa = 0
         np.testing.assert_allclose(prop.L @ prop.L.T, [[2.0 / 3.0]], rtol=1e-12)
         np.testing.assert_allclose(prop.m, [0.0], atol=1e-15)
-        np.testing.assert_allclose(prop.anchor, [0.0])
         assert prop.log_det_V == pytest.approx(math.log(2.0 / 3.0), rel=1e-12)
 
     def test_flat_prior_limit(self):
@@ -216,9 +215,9 @@ class TestBuildProposal:
                       [0.0, 0.2, 1.5, 0.0], [0.1, 0.0, 0.0, 0.5]])
         for prior in (GaussianPriorParams(np.zeros(4), np.diag([0.01, 4.0, 0.3, 2.0])),
                       GaussianPriorParams([0.1, 0.0, -0.3, 0.2], B)):
-            cached = proposal_mod._factor(*terms, beta, prior)
+            cached = proposal_mod._factor(*terms, prior)
             fresh = build_proposal(beta, data, r, prior)
-            for name in ("m", "L", "L_inv", "anchor"):
+            for name in ("m", "L", "L_inv"):
                 np.testing.assert_array_equal(getattr(cached, name), getattr(fresh, name))
             assert cached.log_det_V == fresh.log_det_V
 
@@ -239,7 +238,7 @@ class TestSampleAndLogpdf:
         from poisbayes.proposal import ProposalDensity
 
         prop = ProposalDensity(m=np.array([1.0]), L=np.array([[2.0]]),
-                               log_det_V=math.log(4.0), anchor=np.array([0.0]))
+                               log_det_V=math.log(4.0), L_inv=np.array([[0.5]]))
         draw = sample_proposal(prop, FixedNormals([1.5]))
         assert draw[0] == pytest.approx(4.0, rel=1e-15)
 
@@ -267,7 +266,7 @@ class TestSampleAndLogpdf:
         from poisbayes.proposal import ProposalDensity
 
         prop = ProposalDensity(m=np.array([0.0]), L=np.array([[1.0]]),
-                               log_det_V=0.0, anchor=np.array([0.0]))
+                               log_det_V=0.0, L_inv=np.array([[1.0]]))
         expected = -0.5 * math.log(2 * math.pi) - 0.5
         assert proposal_logpdf(prop, [1.0]) == pytest.approx(expected, rel=1e-14)
 

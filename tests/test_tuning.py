@@ -22,8 +22,7 @@ class TestPolicy:
         assert policy.r_min == 1e-2 and policy.r_max == 1e6
 
     @pytest.mark.parametrize("kwargs", [
-        {"d": 0.0}, {"d": -1.0}, {"d": 0.1, "r_min": 0.0},
-        {"d": 0.1, "r_min": 10.0, "r_max": 1.0},
+        {"d": 0.0}, {"d": -1.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -105,6 +104,13 @@ class TestLambertW:
             assert w <= -1.0
             assert w * math.exp(w) == pytest.approx(x, rel=1e-12)
 
+    def test_vectorized_minus_one_matches_scalar(self):
+        a = -np.geomspace(1e-300, math.exp(-1) - 1e-12, 4001)
+        w = tuning._wm1_vec(a)
+        scalar = np.array([lambert_w(float(x), "minus_one") for x in a])
+        np.testing.assert_allclose(w, scalar, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(w * np.exp(w), a, rtol=1e-12, atol=0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             lambert_w(-1.0, "principal")
@@ -179,11 +185,19 @@ class TestComputeRVector:
                    [tuning._bisect_r(lam, policy) for lam in lams]):
             assert np.all(np.diff(rs) > 0)
 
-    def test_solve_count_deduplicates(self):
+    def test_ties_solved_per_observation(self):
+        # 1003 rows (not a multiple of a SIMD width) drawn from 7 values
+        rng = np.random.default_rng(8)
+        values = np.array([0.05, 0.7, 1.0, 3.0, 12.5, 80.0, 250.0])
+        lams = rng.permutation(np.repeat(values, 150)[:1003])
+        policy = TuningPolicy(d=0.1)
         diag = TuningDiagnostics()
-        lams = np.array([2.0, 2.0, 2.0, 5.0])
-        tuning.r_vector_for_lambdas(lams, TuningPolicy(d=0.1), diag)
-        assert diag.solves == 2
+        r = tuning.r_vector_for_lambdas(lams, policy, diag)
+        assert diag.solves == lams.size
+        for lam in values:
+            tied = r[lams == lam]
+            assert np.all(tied.view(np.uint64) == tied[0].view(np.uint64))
+            assert tied[0] == solve_r(lam, policy)
 
     def test_dimension_check(self):
         ds = Dataset(y=[1], X=[[1.0]], column_names=("b0",))
