@@ -139,22 +139,15 @@ def ess_from_log_weights(log_weights) -> float:
     return float(w.sum() ** 2 / np.sum(w * w))
 
 
-def time_per_independent_sample(elapsed_seconds: float, ess_per_coordinate, aggregate: str = "min") -> float:
-    """Wall-clock seconds per effective draw: elapsed / min(ESS) by default
-    (the conservative per-coordinate aggregation; "median" is the stated
-    alternative)."""
+def time_per_independent_sample(elapsed_seconds: float, ess_per_coordinate) -> float:
+    """Wall-clock seconds per effective draw: elapsed / min(ESS), the
+    conservative per-coordinate aggregation."""
     if not elapsed_seconds > 0:
         raise ValueError("elapsed_seconds must be positive")
     ess = np.asarray(ess_per_coordinate, dtype=np.float64).ravel()
     if np.any(ess <= 0):
         raise ValueError("ESS entries must be positive")
-    if aggregate == "min":
-        denom = float(np.min(ess))
-    elif aggregate == "median":
-        denom = float(np.median(ess))
-    else:
-        raise ValueError(f"unknown aggregate {aggregate!r}")
-    return elapsed_seconds / denom
+    return elapsed_seconds / float(np.min(ess))
 
 
 def cpo(draws, data: Dataset, return_log: bool = False):

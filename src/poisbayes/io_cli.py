@@ -72,6 +72,8 @@ class ColumnSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"column {self.name!r}: unknown kind {self.kind!r}")
+        if not isinstance(self.standardize, bool):
+            raise ConfigError(f"column {self.name!r}: standardize must be true or false")
         if self.standardize and self.kind != "numeric":
             raise ConfigError(f"column {self.name!r}: only numeric columns standardize")
         if self.reference_level is not None and self.kind != "categorical":
@@ -109,6 +111,9 @@ class RunConfig:
             raise ConfigError("horseshoe prior needs either tau or p_n")
         if self.sampler not in ("mh", "is"):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
+        for key in ("add_intercept", "keep_burnin", "cpo"):
+            if not isinstance(getattr(self, key), bool):
+                raise ConfigError(f"{key} must be true or false, got {getattr(self, key)!r}")
         # iterations, burnin, d and seed follow MHConfig's rules
         _mh_config(self.iterations, self.burnin, self.d, self.seed)
         if not 0.0 < self.level < 1.0:
@@ -155,7 +160,7 @@ class RunConfig:
                 ColumnSpec(
                     name=c["name"],
                     kind=c["kind"],
-                    standardize=bool(c.get("standardize", False)),
+                    standardize=c.get("standardize", False),
                     reference_level=c.get("reference_level"),
                 )
                 for c in raw["columns"]

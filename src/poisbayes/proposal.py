@@ -96,19 +96,20 @@ def build_proposal(beta_anchor, data: Dataset, r, prior: GaussianPriorParams) ->
     beta_anchor = np.asarray(beta_anchor, dtype=np.float64)
     if beta_anchor.shape != (data.p,):
         raise ValueError(f"anchor has shape {beta_anchor.shape}, expected ({data.p},)")
-    eta = data.X @ beta_anchor
-    return _factor(*_data_terms(eta, data, r), prior)
-
-
-def _data_terms(eta, data: Dataset, r):
-    """The prior-free half of the proposal, ``(X' Omega X, X' kappa)``, at an
-    anchor with linear predictor ``eta``.  It depends on the anchor and r
-    only, so a sampler can keep it while the prior changes."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (data.n,):
         raise ValueError(f"r has shape {r.shape}, expected ({data.n},)")
     if np.any(r <= 0):
         raise ValueError("all r_i must be positive")
+    return _factor(*_data_terms(data.X @ beta_anchor, data, r), prior)
+
+
+def _data_terms(eta, data: Dataset, r):
+    """The prior-free half of the proposal, ``(X' Omega X, X' kappa)``, at an
+    anchor with linear predictor ``eta``.  It depends on the anchor and r
+    only, so a sampler can keep it while the prior changes.  ``r`` is a
+    float array of n positive entries: the r-solve's range guarantees it,
+    and ``build_proposal`` checks a caller's."""
     log_r = np.log(r)
     c = eta - log_r
     if not np.all(np.isfinite(c)):

@@ -10,18 +10,20 @@ and vanishes as r -> infinity; it equals the empirical sup-ratio distance
 attained at y = 0 (see ``empirical_cdf_ratio_distance``, used in the tests
 to validate it by brute force).
 
-A Lambert-W closed form is tried first: with L = lambda - log(1+d) the
+A Lambert-W closed form gives every r_i: with L = lambda - log(1+d) the
 equation d_A(lambda, r) = d is solved exactly by
 
     r = -lambda * L / (L + lambda * W(-(L/lambda) * exp(-L/lambda)))
 
 on the W_{-1} branch; the principal branch yields the degenerate root
-r = infinity, so it is never tried.  A candidate is accepted only if it is
-finite, inside [r_min, r_max] and reproduces the target distance to 1e-6
-relative; anything else falls back to bisection on d_A and is counted in
-``TuningDiagnostics``.  Every observation's lambda is solved in one
-vectorized pass, ties included: a dedup of equal lambdas cost more than it
-saved even on designs with two distinct means.
+r = infinity, so it is never tried.  The root is clipped into
+[r_min, r_max] (r_min when lambda <= log(1+d), r_max when lambda is not
+finite) and the ``solve_r`` contract is checked once: the bound holds
+unless r = r_max, and the distance reaches d unless r = r_min, both to
+1e-6 relative.  Entries that fail fall back to bisection on d_A and are
+counted in ``TuningDiagnostics``.  Every observation's lambda is solved in
+one vectorized pass, ties included: a dedup of equal lambdas cost more
+than it saved even on designs with two distinct means.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ _INV_E = math.exp(-1.0)
 _BRANCH_EPS = 1e-14
 # exponent cap before exp() overflow in the distance
 _EXP_CAP = 700.0
-# slack multiplier on the distance bound, per the solve_r contract
-_BOUND_SLACK = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ class TuningDiagnostics:
 
 
 def _distance_raw(lam, r):
-    """d_A without validation; inputs already float arrays, lam finite >= 0."""
+    """d_A without validation; inputs already float arrays, lam >= 0
+    (a non-finite lam gives NaN)."""
     expo = lam - r * np.log1p(lam / r)
     return np.where(expo > _EXP_CAP, np.inf, np.expm1(np.minimum(expo, _EXP_CAP)))
 
@@ -95,12 +96,12 @@ def nb_poisson_distance(lam, r):
     return out
 
 
-def empirical_cdf_ratio_distance(lam, r, epsilon: float = 1e-12, full_output: bool = False):
+def empirical_cdf_ratio_distance(lam, r, full_output: bool = False):
     """Brute-force sup over y of the absolute CDF-ratio error between the
     negative binomial NB(r, lambda/(r+lambda)) and Poisson(lambda).
 
     Both CDFs are accumulated from pmf recurrences until each exceeds
-    1 - epsilon.  Intended as a test oracle for ``nb_poisson_distance``;
+    1 - 1e-12.  Intended as a test oracle for ``nb_poisson_distance``;
     with ``full_output=True`` also returns the y attaining the sup.
     """
     lam = float(lam)
@@ -117,7 +118,7 @@ def empirical_cdf_ratio_distance(lam, r, epsilon: float = 1e-12, full_output: bo
     best = abs(nb_cdf / pois_cdf - 1.0)
     arg = 0
     y = 0
-    target = 1.0 - epsilon
+    target = 1.0 - 1e-12
     while pois_cdf < target or nb_cdf < target:
         y += 1
         pois_pmf *= lam / y
@@ -133,18 +134,33 @@ def empirical_cdf_ratio_distance(lam, r, epsilon: float = 1e-12, full_output: bo
     return (best, arg) if full_output else best
 
 
-def _halley_polish(w, x, iterations=50):
-    """Halley iteration for w*exp(w) = x from a branch-appropriate start."""
-    for _ in range(iterations):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            break
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= dw
-        if abs(dw) <= 4e-16 * (1.0 + abs(w)):
-            break
+def _lambert_w_vec(x, branch):
+    """Lambert W on one real branch for an array ``x`` inside its domain,
+    the branch point -1/e excluded (Halley's step divides by w + 1 there).
+
+    Starts: a square-root series in p = sqrt(2(1 + e x)) for x < -1/4;
+    above that x/(1+x) (principal, x < e) or the logarithmic asymptote.
+    Every start is within ~0.3 of the root, so four fixed Halley steps
+    (cubic convergence) reach machine precision; the dense-grid test pins
+    the identity and that a fifth step moves w by rounding only.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        p = np.sqrt(np.maximum(2.0 * (1.0 + math.e * x), 0.0))
+        if branch == "minus_one":
+            l1 = np.log(-x)
+            w = np.where(x < -0.25, -1.0 - p - p * p / 3.0 - 11.0 / 72.0 * p**3, l1 - np.log(-l1))
+        else:
+            l1 = np.log(x)
+            l2 = np.log(l1)
+            w = np.where(x < -0.25, -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3,
+                         np.where(x < math.e, x / (1.0 + x), l1 - l2 + l2 / l1))
+        for _ in range(4):
+            ew = np.exp(w)
+            f = w * ew - x
+            wp1 = w + 1.0
+            dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+            w = w - dw
     return w
 
 
@@ -152,67 +168,20 @@ def lambert_w(x: float, branch: str = "principal") -> float:
     """Lambert W: the solution of w * exp(w) = x on the requested branch.
 
     ``branch="principal"`` covers x >= -1/e; ``branch="minus_one"`` covers
-    -1/e <= x < 0.  Accuracy target is 1e-12 relative on the defining
-    identity (Halley iteration from a branch-appropriate start, at most 50
-    steps; a square-root series start handles the neighbourhood of the
-    branch point -1/e).
+    -1/e <= x < 0.  Both give exactly -1 at the branch point; elsewhere
+    this is the vectorised kernel of the r-solve, accurate to 1e-12
+    relative on the defining identity.
     """
     x = float(x)
-    if branch == "principal":
-        if x < -_INV_E - _BRANCH_EPS:
-            raise ValueError(f"principal branch needs x >= -1/e, got {x}")
-        if x == 0.0:
-            return 0.0
-        if x + _INV_E <= _BRANCH_EPS:
-            return -1.0
-        if x < -0.25:
-            p = math.sqrt(2.0 * (1.0 + math.e * x))
-            w0 = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3
-        elif x < math.e:
-            w0 = x / (1.0 + x)
-        else:
-            l1 = math.log(x)
-            l2 = math.log(l1)
-            w0 = l1 - l2 + l2 / l1
-        return _halley_polish(w0, x)
-    if branch == "minus_one":
-        if x >= 0.0:
-            raise ValueError(f"minus_one branch needs -1/e <= x < 0, got {x}")
-        if x < -_INV_E - _BRANCH_EPS:
-            raise ValueError(f"minus_one branch needs x >= -1/e, got {x}")
-        if x + _INV_E <= _BRANCH_EPS:
-            return -1.0
-        if x < -0.25:
-            p = math.sqrt(2.0 * (1.0 + math.e * x))
-            w0 = -1.0 - p - p * p / 3.0 - 11.0 / 72.0 * p**3
-        else:
-            l1 = math.log(-x)
-            w0 = l1 - math.log(-l1)
-        return _halley_polish(w0, x)
-    raise ValueError(f"unknown branch {branch!r}")
-
-
-def _wm1_vec(a):
-    """Vectorized W_{-1} on [-1/e, 0), same scheme as ``lambert_w``.
-
-    The starting guesses are within ~1e-2 everywhere on the branch, so four
-    fixed Halley steps (cubic convergence) reach machine precision; the
-    dense-grid test pins agreement with the scalar ``lambert_w``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        p = np.sqrt(np.maximum(2.0 * (1.0 + math.e * a), 0.0))
-        w_series = -1.0 - p - p * p / 3.0 - 11.0 / 72.0 * p**3
-        la = np.log(-a)
-        w_log = la - np.log(-la)
-    w = np.where(a < -0.25, w_series, w_log)
-    for _ in range(4):
-        ew = np.exp(w)
-        f = w * ew - a
-        wp1 = w + 1.0
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w = w - dw
-    return w
+    if branch not in ("principal", "minus_one"):
+        raise ValueError(f"unknown branch {branch!r}")
+    if x < -_INV_E - _BRANCH_EPS:
+        raise ValueError(f"{branch} branch needs x >= -1/e, got {x}")
+    if branch == "minus_one" and x >= 0.0:
+        raise ValueError(f"minus_one branch needs -1/e <= x < 0, got {x}")
+    if x + _INV_E <= _BRANCH_EPS:
+        return -1.0
+    return float(_lambert_w_vec(x, branch))
 
 
 def _bisect_r(lam: float, policy: TuningPolicy) -> float:
@@ -235,21 +204,23 @@ def _closed_form_r(lam, d):
     With L = lambda - log(1+d) in (0, lambda), the argument
     a = -(L/lambda) exp(-L/lambda) lies in [-1/e, 0).  The principal branch
     there returns the degenerate w = -L/lambda (r = infinity), so W_{-1} is
-    the only branch with a usable root; the caller still filters the
-    candidates.
+    the only branch with a usable root.  Outside that range the candidate
+    is NaN or not positive; the caller clips, checks and suppresses the
+    floating-point warnings.
     """
-    lam = np.asarray(lam, dtype=np.float64)
     L = lam - math.log1p(d)
     u = L / lam
     a = -u * np.exp(-u)
-    w_m1 = _wm1_vec(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -lam * L / (L + lam * w_m1)
+    return -lam * L / (L + lam * _lambert_w_vec(a, "minus_one"))
 
 
 def solve_r(lam: float, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> float:
     """Smallest r in [r_min, r_max] with nb_poisson_distance(lam, r) <= d,
-    or r_max when even r_max misses the bound (cap rule)."""
+    or r_max when even r_max misses the bound (cap rule).
+
+    The contract, up to a 1e-6 relative slack on d: the bound holds unless
+    r = r_max, and the distance reaches d unless r = r_min.
+    """
     return float(r_vector_for_lambdas(np.asarray([lam]), policy, diagnostics)[0])
 
 
@@ -264,36 +235,32 @@ def compute_r_vector(beta, data, policy: TuningPolicy, diagnostics: TuningDiagno
 
 
 def r_vector_for_lambdas(lam, policy: TuningPolicy, diagnostics: TuningDiagnostics | None = None) -> np.ndarray:
-    """``solve_r`` for every entry of ``lam`` in one vectorized pass."""
+    """``solve_r`` for every entry of ``lam`` in one vectorized pass: the
+    closed-form root clipped into [r_min, r_max], one check of the
+    ``solve_r`` contract, and bisection for the entries that fail it."""
     lams = np.asarray(lam, dtype=np.float64)
     d = policy.d
-    bound = d * _BOUND_SLACK
-    r = np.empty_like(lams)
+    r_min, r_max = policy.r_min, policy.r_max
+    nonfinite = ~np.isfinite(lams)
+    with np.errstate(all="ignore"):
+        cand = _closed_form_r(lams, d)
+        # a NaN or non-positive candidate starts at r_max, where the check
+        # sends it to bisection unless the cap rule really applies
+        r = np.clip(np.where(cand > 0, cand, r_max), r_min, r_max)
+        # lambda <= log(1+d): d_A < expm1(lambda) <= d at every r
+        r[lams <= math.log1p(d)] = r_min
+        # no finite r meets the bound for a non-finite lambda (d_A is NaN)
+        r[nonfinite] = r_max
+        dist = _distance_raw(lams, r)
+    # the 1e-6 slack on both sides keeps accepted roots near-exact: a
+    # sloppy candidate that merely meets the bound would overshoot r
+    ok = (r == r_min) | (dist >= d * (1.0 - 1e-6))
+    ok &= (r == r_max) | (dist <= d * (1.0 + 1e-6))
+    ok |= nonfinite
+    fails = np.flatnonzero(~ok)
+    for j in fails:
+        r[j] = _bisect_r(float(lams[j]), policy)
     if diagnostics is not None:
         diagnostics.solves += lams.size
-
-    # non-finite / overflowing lambda cannot meet the bound at any finite r
-    finite = np.isfinite(lams)
-    lam_safe = lams if finite.all() else np.where(finite, lams, 1.0)
-    at_min = finite & (_distance_raw(lam_safe, policy.r_min) <= bound)
-    at_max = ~at_min & (~finite | (_distance_raw(lam_safe, policy.r_max) > bound))
-    r[at_min] = policy.r_min
-    r[at_max] = policy.r_max
-
-    interior = ~(at_min | at_max)
-    if not interior.any():
-        return r
-    lam_i = lams[interior]
-    out_i = _closed_form_r(lam_i, d)
-    # NaN and infinite candidates fail the range test
-    usable = (out_i >= policy.r_min) & (out_i <= policy.r_max)
-    # accept only near-exact roots; a sloppy candidate that merely
-    # satisfies the one-sided bound would silently overshoot r
-    usable[usable] = np.abs(_distance_raw(lam_i[usable], out_i[usable]) - d) <= 1e-6 * d
-
-    for j in np.flatnonzero(~usable):
-        out_i[j] = _bisect_r(float(lam_i[j]), policy)
-        if diagnostics is not None:
-            diagnostics.closed_form_fallbacks += 1
-    r[interior] = out_i
+        diagnostics.closed_form_fallbacks += fails.size
     return r

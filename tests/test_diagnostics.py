@@ -77,10 +77,6 @@ class TestTimePerIndependentSample:
             2 * time_per_independent_sample(10.0, ess)
         )
 
-    def test_median_option(self):
-        ess = np.array([100.0, 400.0, 1000.0])
-        assert time_per_independent_sample(10.0, ess, aggregate="median") == pytest.approx(10 / 400)
-
     def test_monotone_in_ess(self):
         rng = np.random.default_rng(4)
         ess = rng.uniform(10, 1000, 5)
@@ -95,8 +91,6 @@ class TestTimePerIndependentSample:
             time_per_independent_sample(0.0, [10.0])
         with pytest.raises(ValueError):
             time_per_independent_sample(1.0, [0.0])
-        with pytest.raises(ValueError):
-            time_per_independent_sample(1.0, [1.0], aggregate="max")
 
 
 class TestCPO:

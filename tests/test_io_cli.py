@@ -265,9 +265,14 @@ class TestCLI:
         {"prior": {"kind": "gaussian", "mean": float("inf")}},
         # counts in the config are never truncated to integers
         {"seed": 1.5}, {"iterations": 300.9}, {"burnin": 50.5}, {"seed": True},
+        # switches take JSON true/false only, never a truthy stand-in
+        {"add_intercept": "no"}, {"keep_burnin": "yes"}, {"cpo": 1},
+        {"columns": [{"name": "y", "kind": "response"},
+                     {"name": "y", "kind": "numeric", "standardize": "false"}]},
     ], ids=["pn_ge_n", "pn_zero", "pn_fractional", "pn_text", "pn_list", "pn_inf",
             "tau_negative", "var_zero", "var_nan", "mean_inf",
-            "seed_fractional", "iterations_fractional", "burnin_fractional", "seed_bool"])
+            "seed_fractional", "iterations_fractional", "burnin_fractional", "seed_bool",
+            "add_intercept_text", "keep_burnin_text", "cpo_int", "standardize_text"])
     def test_out_of_range_prior_exits_2(self, toy_files, overrides, capsys):
         tmp_path, data_path, _ = toy_files
         config_path, _ = run_config(tmp_path, data_path, **overrides)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,12 +105,23 @@ class TestLambertW:
             assert w <= -1.0
             assert w * math.exp(w) == pytest.approx(x, rel=1e-12)
 
-    def test_vectorized_minus_one_matches_scalar(self):
-        a = -np.geomspace(1e-300, math.exp(-1) - 1e-12, 4001)
-        w = tuning._wm1_vec(a)
-        scalar = np.array([lambert_w(float(x), "minus_one") for x in a])
-        np.testing.assert_allclose(w, scalar, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(w * np.exp(w), a, rtol=1e-12, atol=0)
+    @pytest.mark.parametrize("branch", ["principal", "minus_one"])
+    def test_kernel_dense_grid(self, branch):
+        # the vectorised kernel against the defining identity (no external
+        # reference: scipy's W_{-1} loses accuracy near -1/e), branch
+        # membership, and a fifth Halley step moving w by rounding only
+        near = -math.exp(-1) + np.geomspace(1e-12, 0.1, 2001)
+        x = np.concatenate([near, -np.geomspace(1e-300, math.exp(-1) - 1e-12, 4001)])
+        if branch == "principal":
+            x = np.concatenate([x, [0.0], np.geomspace(1e-300, 1e300, 4001)])
+        w = tuning._lambert_w_vec(x, branch)
+        np.testing.assert_allclose(w * np.exp(w), x, rtol=1e-12, atol=0)
+        assert np.all(w >= -1.0) if branch == "principal" else np.all(w <= -1.0)
+        ew = np.exp(w)
+        f = w * ew - x
+        w5 = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)))
+        away = x + math.exp(-1) > 1e-3
+        np.testing.assert_allclose(w5[away], w[away], rtol=1e-14, atol=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -157,14 +169,36 @@ class TestSolveR:
         policy = TuningPolicy(d=0.1)
         assert solve_r(np.inf, policy) == policy.r_max
 
-    def test_fallback_counter(self, monkeypatch):
-        # sabotage the closed form; bisection must still deliver the root
-        monkeypatch.setattr(tuning, "_wm1_vec", lambda a: np.full(np.shape(a), -0.5))
+    @pytest.mark.parametrize("w_value", [-0.5, np.nan, -1e4, -2.0],
+                             ids=["negative_root", "nan", "below_r_min", "wrong_interior"])
+    def test_fallback_counter(self, monkeypatch, w_value):
+        # sabotage the closed form on each side of the contract check;
+        # bisection must still deliver the root, counted once
+        monkeypatch.setattr(tuning, "_lambert_w_vec", lambda a, branch: np.full(np.shape(a), w_value))
+        calls = []
+        bisect = tuning._bisect_r
+
+        def counting_bisect(lam, policy):
+            calls.append(lam)
+            return bisect(lam, policy)
+
+        monkeypatch.setattr(tuning, "_bisect_r", counting_bisect)
         diag = TuningDiagnostics()
         policy = TuningPolicy(d=0.1)
         r = solve_r(5.0, policy, diag)
+        assert calls == [5.0]
         assert diag.closed_form_fallbacks == 1
         assert nb_poisson_distance(5.0, r) == pytest.approx(0.1, rel=1e-6)
+
+    def test_lambda_edges_need_no_fallback(self):
+        policy = TuningPolicy(d=0.1)
+        lams = np.array([0.0, 1e-300, math.log1p(policy.d), 1e300, np.inf])
+        diag = TuningDiagnostics()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = tuning.r_vector_for_lambdas(lams, policy, diag)
+        np.testing.assert_array_equal(r, [policy.r_min] * 3 + [policy.r_max] * 2)
+        assert diag.closed_form_fallbacks == 0
 
 
 class TestComputeRVector:
