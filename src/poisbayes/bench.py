@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import ess_vector
+from .diagnostics import ess_vector, time_per_independent_sample
 from .errors import EstimationError, GenerationError, NumericError
 from .model import Dataset, GaussianPriorParams
 from .samplers import (
@@ -242,7 +242,9 @@ def _run_cell(method: str, data: Dataset, prior_spec: PriorSpec, config: MHConfi
             method=method, n=n, p=p, replicate=rep,
             elapsed_seconds=out.elapsed_seconds,
             min_ess=min_ess,
-            time_per_independent_sample=out.elapsed_seconds / min_ess,
+            time_per_independent_sample=time_per_independent_sample(
+                out.elapsed_seconds, min_ess
+            ),
             acceptance_rate=acceptance,
             weight_ess=weight_ess,
         )

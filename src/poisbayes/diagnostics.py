@@ -150,13 +150,20 @@ def time_per_independent_sample(elapsed_seconds: float, ess_per_coordinate) -> f
     return elapsed_seconds / float(np.min(ess))
 
 
+# elements per CPO temporary: 2 MiB, under the 4 MiB from which numpy
+# advises the kernel to back an array with huge pages
+_CPO_BLOCK = 1 << 18
+
+
 def cpo(draws, data: Dataset, return_log: bool = False):
     """Harmonic-mean conditional predictive ordinates.
 
     CPO_i = [T^{-1} sum_t 1/f(y_i | lambda_i(beta_t))]^{-1}, evaluated in
-    log space by a streaming log-sum-exp over draws.  Observations where
-    some f(y_i | beta_t) underflows to zero are reported through
-    ``CPOInstabilityWarning`` (their CPO collapses to 0).
+    log space by a log-sum-exp over blocks of draws, each block's
+    temporaries at most ``_CPO_BLOCK`` elements (one draw per block when n
+    is larger).  Observations where some f(y_i | beta_t) underflows to zero
+    are reported through ``CPOInstabilityWarning`` (their CPO collapses
+    to 0).
     """
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 2 or draws.shape[1] != data.p:
@@ -170,26 +177,19 @@ def cpo(draws, data: Dataset, return_log: bool = False):
         )
     y = data._yf
     lgam = data._lgamma_y1_rows
-    # streaming logsumexp of -log f over draws, per observation
-    run_max = np.full(data.n, -np.inf)
-    run_sum = np.zeros(data.n)
-    block = max(1, int(2_000_000 // max(data.n, 1)))
+    rows = max(1, _CPO_BLOCK // max(data.n, 1))
+    # log sum_t 1/f(y_i | beta_t), accumulated block by block
+    log_sum = np.full(data.n, -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_draws, block):
-            etas = draws[start : start + block] @ data.X.T
+        for start in range(0, n_draws, rows):
+            etas = draws[start : start + rows] @ data.X.T
             neg_logf = np.exp(etas) - y * etas + lgam  # -log f, may be +inf
-            bmax = np.max(neg_logf, axis=0)
-            new_max = np.maximum(run_max, bmax)
-            adj = np.where(np.isfinite(run_max), np.exp(run_max - new_max), 0.0)
-            bsum = np.where(
-                np.isfinite(bmax[None, :]),
-                np.exp(neg_logf - new_max[None, :]),
-                0.0,
-            ).sum(axis=0)
-            run_sum = run_sum * adj + bsum
-            run_max = new_max
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_cpo = np.log(n_draws) - (run_max + np.log(run_sum))
+            # an infinite max is left unshifted, so its block sum stays +inf
+            shift = np.max(neg_logf, axis=0)
+            shift[np.isinf(shift)] = 0.0
+            block = shift + np.log(np.exp(neg_logf - shift).sum(axis=0))
+            np.logaddexp(log_sum, block, out=log_sum)
+    log_cpo = np.log(n_draws) - log_sum
     unstable = np.flatnonzero(~np.isfinite(log_cpo))
     if unstable.size:
         warnings.warn(
@@ -208,14 +208,6 @@ def lpml(cpo_values) -> float:
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
         raise ValueError("all CPO values must be positive and finite")
     return float(np.sum(np.log(v)))
-
-
-def _type7_quantile(sorted_x: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    n = sorted_x.size
-    if n == 1:
-        return np.full(qs.size, sorted_x[0])
-    pos = np.arange(n) / (n - 1)
-    return np.interp(qs, pos, sorted_x)
 
 
 def _weighted_quantile(x: np.ndarray, w: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -252,40 +244,28 @@ def summarize(output, level: float = 0.95) -> PosteriorSummary:
     qs = np.array([(1.0 - level) / 2.0, (1.0 + level) / 2.0])
 
     log_weights = getattr(output, "log_weights", None)
-    weighted = log_weights is not None and np.ptp(log_weights) != 0.0
+    if log_weights is None:
+        ess = ess_vector(draws)
+        acceptance = getattr(output, "acceptance_rate", None)
+        weight_ess = None
+    else:
+        weight_ess = ess_from_log_weights(log_weights)
+        ess = np.full(p, weight_ess)
+        acceptance = None
 
-    if weighted:
+    if log_weights is None or np.ptp(log_weights) == 0.0:
+        w = np.ones(n_draws)
+        mean = draws.mean(axis=0)
+        sd = draws.std(axis=0, ddof=1) if n_draws > 1 else np.zeros(p)
+    else:
         lw = np.asarray(log_weights, dtype=np.float64)
-        m = float(np.max(lw))
-        if not np.isfinite(m):
-            raise EstimationError("all importance weights are zero")
-        w = np.exp(lw - m)
+        w = np.exp(lw - float(np.max(lw)))
         wsum = w.sum()
         mean = (w @ draws) / wsum
         sd = np.sqrt((w @ (draws - mean) ** 2) / wsum)
-        bounds = np.empty((2, p))
-        for j in range(p):
-            bounds[:, j] = _weighted_quantile(draws[:, j], w, qs)
-        ess_w = float(wsum**2 / np.sum(w * w))
-        ess = np.full(p, ess_w)
-        acceptance = None
-        weight_ess = ess_w
-    else:
-        mean = draws.mean(axis=0)
-        sd = draws.std(axis=0, ddof=1) if n_draws > 1 else np.zeros(p)
-        bounds = np.empty((2, p))
-        for j in range(p):
-            bounds[:, j] = _type7_quantile(np.sort(draws[:, j], kind="stable"), qs)
-        if log_weights is not None:
-            # importance output with exactly uniform weights
-            ess_w = float(ess_from_log_weights(log_weights))
-            ess = np.full(p, ess_w)
-            acceptance = None
-            weight_ess = ess_w
-        else:
-            ess = ess_vector(draws)
-            acceptance = getattr(output, "acceptance_rate", None)
-            weight_ess = None
+    bounds = np.empty((2, p))
+    for j in range(p):
+        bounds[:, j] = _weighted_quantile(draws[:, j], w, qs)
 
     lower, upper = bounds[0], bounds[1]
     elapsed = float(getattr(output, "elapsed_seconds", np.nan))

@@ -124,10 +124,6 @@ class RunConfig:
                 f"exactly one response column required, found {len(responses)}"
             )
 
-    @property
-    def response_column(self) -> str:
-        return next(c.name for c in self.columns if c.kind == "response")
-
     def to_dict(self) -> dict:
         prior: dict = {"kind": self.prior_kind}
         if self.prior_kind == "gaussian":
@@ -184,16 +180,38 @@ class RunConfig:
         return cls(**kwargs)
 
 
-def _parse_cell(raw: str, row: int, name: str) -> float:
+def _parse_cell(raw: str, path: str, row: int, name: str) -> float:
     try:
         value = float(raw)
     except ValueError:
         raise DataError(
-            f"row {row}, column {name!r}: cannot parse {raw!r} as a number"
+            f"{path}: row {row}, column {name!r}: cannot parse {raw!r} as a number"
         ) from None
     if not math.isfinite(value):
-        raise DataError(f"row {row}, column {name!r}: {raw!r} is not a finite number")
+        raise DataError(f"{path}: row {row}, column {name!r}: {raw!r} is not a finite number")
     return value
+
+
+def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV without ``#`` comment lines, each row
+    as wide as the header; row numbers count the header as line 1."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    body = rows[1:]
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {i + 2}: expected {len(header)} fields, got {len(row)}"
+            )
+    return header, body
 
 
 def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
@@ -209,27 +227,13 @@ def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
     responses = [c for c in specs if c.kind == "response"]
     if len(responses) != 1:
         raise ConfigError(f"exactly one response column required, found {len(responses)}")
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from None
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path}: no data rows")
+    header, body = _read_rows(path)
     col_index = {name: i for i, name in enumerate(header)}
     for spec in specs:
         if spec.name not in col_index:
             raise DataError(f"unknown column {spec.name!r}; file has {header}")
 
     n = len(body)
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise DataError(f"row {i + 2}: expected {len(header)} fields, got {len(row)}")
-
     y = None
     blocks: list[np.ndarray] = []
     names: list[str] = []
@@ -240,7 +244,7 @@ def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
         idx = col_index[spec.name]
         raw = [body[i][idx].strip() for i in range(n)]
         if spec.kind == "response":
-            vals = np.array([_parse_cell(v, i + 2, spec.name) for i, v in enumerate(raw)])
+            vals = np.array([_parse_cell(v, path, i + 2, spec.name) for i, v in enumerate(raw)])
             # counts are held as int64
             bad = np.flatnonzero((vals < 0) | (vals != np.floor(vals)) | (vals >= 2**63))
             if bad.size:
@@ -251,7 +255,7 @@ def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
                 )
             y = vals
         elif spec.kind == "numeric":
-            vals = np.array([_parse_cell(v, i + 2, spec.name) for i, v in enumerate(raw)])
+            vals = np.array([_parse_cell(v, path, i + 2, spec.name) for i, v in enumerate(raw)])
             if spec.standardize:
                 with np.errstate(over="ignore", invalid="ignore"):
                     sd = float(vals.std())
@@ -305,25 +309,21 @@ def write_dataset(dataset: Dataset, path: str, response_name: str = "y",
             )
 
 
-def _config_dict(config) -> dict:
-    return config if isinstance(config, dict) else config.to_dict()
-
-
-def _provenance(config) -> str:
-    echo = _config_dict(config)
-    brief = {"seed": echo["seed"], "d": echo["d"], "prior": echo["prior"]}
+def _provenance(config: dict) -> str:
+    brief = {"seed": config["seed"], "d": config["d"], "prior": config["prior"]}
     return "# config: " + json.dumps(brief, separators=(",", ":"))
 
 
 def write_outputs(output, summary: PosteriorSummary, outdir: str, names,
-                  config, cpo_values=None) -> dict[str, str]:
+                  config: dict, cpo_values=None) -> dict[str, str]:
     """Write draws.csv (retained draws only), summary.json, optionally
     cpo.csv, and trace.csv with the full pre-burn-in chain when the run
-    kept it.  ``config`` (a RunConfig or an already-echoed dict) names the
-    producing run in every file."""
+    kept it.  ``config``, the run's config echo (``RunConfig.to_dict()``),
+    names the producing run in every file.  A counter the output lacks or
+    holds as None (unknown) is written as null."""
     os.makedirs(outdir, exist_ok=True)
     names = list(names)
-    is_weighted = hasattr(output, "log_weights")
+    log_weights = getattr(output, "log_weights", None)
     paths = {}
 
     def _write_matrix(path, matrix, header, log_weights=None):
@@ -338,11 +338,8 @@ def write_outputs(output, summary: PosteriorSummary, outdir: str, names,
                 writer.writerow(row)
 
     draws_path = os.path.join(outdir, "draws.csv")
-    _write_matrix(
-        draws_path, output.draws,
-        names + (["log_weight"] if is_weighted else []),
-        output.log_weights if is_weighted else None,
-    )
+    columns = names + (["log_weight"] if log_weights is not None else [])
+    _write_matrix(draws_path, output.draws, columns, log_weights)
     paths["draws"] = draws_path
 
     full_draws = getattr(output, "full_draws", None)
@@ -370,9 +367,9 @@ def write_outputs(output, summary: PosteriorSummary, outdir: str, names,
         "weight_ess": summary.weight_ess,
         "elapsed_seconds": summary.elapsed_seconds,
         "time_per_independent_sample": summary.time_per_independent_sample,
-        "proposal_failures": int(getattr(output, "proposal_failures", 0)),
-        "tuning_fallbacks": int(getattr(output, "tuning_fallbacks", 0)),
-        "config": _config_dict(config),
+        **{key: None if (count := getattr(output, key, None)) is None else int(count)
+           for key in ("proposal_failures", "tuning_fallbacks")},
+        "config": config,
     }
     with open(summary_path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -393,16 +390,14 @@ def write_outputs(output, summary: PosteriorSummary, outdir: str, names,
 
 def load_draws(path: str):
     """Read a draws.csv back: (coefficient names, draws, log_weights or None)."""
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from None
-    if len(rows) < 2:
-        raise DataError(f"{path}: no draws")
-    header = rows[0]
-    values = np.array([[float(v) for v in row] for row in rows[1:]])
-    if header and header[-1] == "log_weight":
+    header, body = _read_rows(path)
+    # a zero importance weight is written as log_weight -inf
+    values = np.array([
+        [-math.inf if (name, v) == ("log_weight", "-inf")
+         else _parse_cell(v, path, i + 2, name) for name, v in zip(header, row)]
+        for i, row in enumerate(body)
+    ])
+    if header[-1] == "log_weight":
         return header[:-1], values[:, :-1], values[:, -1]
     return header, values, None
 
@@ -455,8 +450,8 @@ def _cmd_fit(args) -> int:
         output = is_run(data, prior, mh_config)
     summary = summarize(output, level=config.level)
     cpo_values = compute_cpo(output.draws, data) if config.cpo else None
-    paths = write_outputs(output, summary, config.out, data.column_names, config,
-                          cpo_values=cpo_values)
+    paths = write_outputs(output, summary, config.out, data.column_names,
+                          config.to_dict(), cpo_values=cpo_values)
     print(f"wrote {paths['draws']} and {paths['summary']}")
     return 0
 
@@ -475,26 +470,28 @@ def _cmd_diagnose(args) -> int:
             f"{list(data.column_names)}"
         )
     summary_path = args.summary or os.path.join(os.path.dirname(draws_path), "summary.json")
-    elapsed = float("nan")
-    acceptance = None
-    echo = None
+    # what the draws file does not hold comes from the fit's summary, or
+    # stays unknown (nan or null) without one
+    previous = {}
     if os.path.exists(summary_path):
-        with open(summary_path) as fh:
-            previous = json.load(fh)
-        elapsed = previous.get("elapsed_seconds", float("nan"))
-        acceptance = previous.get("acceptance_rate")
-        echo = previous.get("config")
-    if log_weights is not None:
-        output = SimpleNamespace(draws=draws, log_weights=log_weights,
-                                 elapsed_seconds=elapsed)
-    else:
-        output = SimpleNamespace(draws=draws, elapsed_seconds=elapsed,
-                                 acceptance_rate=acceptance)
+        try:
+            with open(summary_path) as fh:
+                previous = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise DataError(f"cannot read {summary_path}: {e}") from None
+        if not isinstance(previous, dict):
+            raise DataError(f"{summary_path}: not a JSON object")
+    output = SimpleNamespace(
+        draws=draws, log_weights=log_weights,
+        elapsed_seconds=previous.get("elapsed_seconds", float("nan")),
+        **{key: previous.get(key)
+           for key in ("acceptance_rate", "proposal_failures", "tuning_fallbacks")},
+    )
     summary = summarize(output, level=config.level)
     cpo_values = compute_cpo(draws, data) if config.cpo else None
     outdir = args.out_override or config.out
     paths = write_outputs(output, summary, outdir, data.column_names,
-                          echo if echo is not None else config,
+                          previous.get("config") or config.to_dict(),
                           cpo_values=cpo_values)
     print(f"wrote {paths['summary']}")
     return 0

@@ -133,6 +133,42 @@ class TestCPO:
             values = cpo(draws, data)
         assert np.all(values == 0.0)
 
+    def test_one_draw_per_block_matches_default_blocks(self, monkeypatch):
+        import poisbayes.diagnostics as diagnostics
+
+        rng = np.random.default_rng(14)
+        x = np.repeat([0.0, 1.0], 6)
+        data = Dataset(y=rng.poisson(2.0, 12), X=np.column_stack([np.ones(12), x]),
+                       column_names=("b0", "b1"))
+        draws = rng.normal([0.6, 0.1], 0.2, size=(300, 2))
+        # the last draw's rate overflows where x = 1
+        overflow = np.vstack([draws, [[0.6, 800.0]]])
+        default = cpo(draws, data, return_log=True)
+        with pytest.warns(CPOInstabilityWarning):
+            default_overflow = cpo(overflow, data)
+        monkeypatch.setattr(diagnostics, "_CPO_BLOCK", data.n)
+        np.testing.assert_allclose(cpo(draws, data, return_log=True), default, rtol=1e-13)
+        with pytest.warns(CPOInstabilityWarning):
+            values = cpo(overflow, data)
+        assert np.all(values[x == 1] == 0.0) and np.all(values[x == 0] > 0.0)
+        np.testing.assert_allclose(values, default_overflow, rtol=1e-13)
+
+    def test_traced_peak_is_bounded(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(15)
+        n, p = 5000, 5
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        data = Dataset(y=rng.poisson(2.0, n), X=X, column_names=tuple("abcde"))
+        draws = rng.normal(0.0, 0.05, size=(1000, p)) + [math.log(2.0), 0, 0, 0, 0]
+        tracemalloc.start()
+        try:
+            cpo(draws, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_few_draws_warning(self):
         data = self.make_data()
         with pytest.warns(UserWarning, match="unstable"):

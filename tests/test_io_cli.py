@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,41 @@ class TestCLI:
             "--out", str(rerun),
         ]) == 0
         assert json.load(open(rerun / "summary.json")) == fit_summary
+
+    def test_diagnose_keeps_fit_counters(self, tmp_path):
+        # small counts at a tiny d send r-solves to the bisection fallback
+        data_path = write_csv(tmp_path / "sparse.csv", "y\n0\n0\n1\n0\n2\n1\n0\n")
+        config_path, _ = run_config(tmp_path, data_path, iterations=400, burnin=100, d=1e-6)
+        assert run_cli(["fit", "--config", config_path]) == 0
+        fit_summary = json.load(open(tmp_path / "out" / "summary.json"))
+        assert fit_summary["tuning_fallbacks"] > 0
+        assert run_cli(["diagnose", "--config", config_path, "--out", str(tmp_path / "re")]) == 0
+        assert json.load(open(tmp_path / "re" / "summary.json")) == fit_summary
+        # without the fit's summary the counters are unknown, not zero
+        os.remove(tmp_path / "out" / "summary.json")
+        assert run_cli(["diagnose", "--config", config_path, "--out", str(tmp_path / "re2")]) == 0
+        counters = json.load(open(tmp_path / "re2" / "summary.json"))
+        assert counters["tuning_fallbacks"] is None and counters["proposal_failures"] is None
+
+    @pytest.mark.parametrize("target, text, message", [
+        ("draws.csv", "(Intercept)\n0.5\nabc\n", r"draws\.csv: row 3, column '\(Intercept\)'"),
+        ("draws.csv", "(Intercept)\n0.5\n0.5,0.7\n", r"draws\.csv: row 3: expected 1 fields"),
+        ("summary.json", "{not json", r"cannot read .*summary\.json"),
+        ("summary.json", "[1, 2]", r"summary\.json: not a JSON object"),
+    ], ids=["draws_text_cell", "draws_ragged_row", "summary_not_json", "summary_list"])
+    def test_bad_diagnose_input_exits_3(self, toy_files, target, text, message, capsys):
+        tmp_path, data_path, _ = toy_files
+        config_path, _ = run_config(tmp_path, data_path, iterations=400, burnin=100)
+        assert run_cli(["fit", "--config", config_path]) == 0
+        write_csv(tmp_path / "out" / target, text)
+        assert run_cli(["diagnose", "--config", config_path, "--out", str(tmp_path / "re")]) == 3
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_load_draws_keeps_zero_weights(self, tmp_path):
+        path = write_csv(tmp_path / "draws.csv", "b0,log_weight\n0.1,-inf\n0.2,-1.5\n")
+        names, draws, log_w = load_draws(path)
+        assert names == ["b0"]
+        np.testing.assert_array_equal(log_w, [-np.inf, -1.5])
 
     def test_simulate_then_fit(self, tmp_path):
         simdir = tmp_path / "sim"
