@@ -37,7 +37,6 @@ from .model import (
     Dataset,
     GaussianPriorParams,
     log_gaussian_prior,
-    log_nb_likelihood,
     log_poisson_likelihood,
 )
 from .proposal import (
@@ -66,7 +65,6 @@ from .tuning import (
     TuningDiagnostics,
     TuningPolicy,
     compute_r_vector,
-    empirical_cdf_ratio_distance,
     lambert_w,
     nb_poisson_distance,
     solve_r,
@@ -102,7 +100,6 @@ __all__ = [
     "build_proposal",
     "compute_r_vector",
     "cpo",
-    "empirical_cdf_ratio_distance",
     "ess_chain",
     "ess_from_log_weights",
     "ess_vector",
@@ -111,7 +108,6 @@ __all__ = [
     "lambert_w",
     "load_dataset",
     "log_gaussian_prior",
-    "log_nb_likelihood",
     "log_poisson_likelihood",
     "lpml",
     "mh_run",

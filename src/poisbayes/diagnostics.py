@@ -155,19 +155,30 @@ def time_per_independent_sample(elapsed_seconds: float, ess_per_coordinate) -> f
 _CPO_BLOCK = 1 << 18
 
 
-def cpo(draws, data: Dataset, return_log: bool = False):
+def cpo(draws, data: Dataset, return_log: bool = False, log_weights=None):
     """Harmonic-mean conditional predictive ordinates.
 
     CPO_i = [T^{-1} sum_t 1/f(y_i | lambda_i(beta_t))]^{-1}, evaluated in
     log space by a log-sum-exp over blocks of draws, each block's
     temporaries at most ``_CPO_BLOCK`` elements (one draw per block when n
-    is larger).  Observations where some f(y_i | beta_t) underflows to zero
-    are reported through ``CPOInstabilityWarning`` (their CPO collapses
-    to 0).
+    is larger).  For an importance sample, pass its ``log_weights``: the
+    average over draws is then weighted by the self-normalized weights,
+    CPO_i = [sum_t w_t/f(y_i | beta_t) / sum_t w_t]^{-1}, and draws of
+    weight zero are left out.  Observations where some f(y_i | beta_t)
+    underflows to zero are reported through ``CPOInstabilityWarning``
+    (their CPO collapses to 0).
     """
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 2 or draws.shape[1] != data.p:
         raise ValueError(f"draws must be (T, {data.p}), got {draws.shape}")
+    if log_weights is not None:
+        lw = np.asarray(log_weights, dtype=np.float64)
+        if lw.shape != draws.shape[:1]:
+            raise ValueError(f"log_weights must be ({draws.shape[0]},), got {lw.shape}")
+        if np.any(np.isnan(lw) | (lw == np.inf)):
+            raise ValueError("log_weights must be finite or -inf")
+        kept = lw > -np.inf
+        draws, lw = draws[kept], lw[kept]
     n_draws = draws.shape[0]
     if n_draws < 1:
         raise ValueError("need at least one draw")
@@ -175,21 +186,29 @@ def cpo(draws, data: Dataset, return_log: bool = False):
         warnings.warn(
             f"only {n_draws} draws; CPO estimates may be unstable", UserWarning
         )
+    if log_weights is None:
+        log_total = np.log(n_draws)
+    else:
+        # shifted so the largest weight is 1; the shift cancels in the ratio
+        lw = lw - np.max(lw)
+        log_total = np.log(np.exp(lw).sum())
     y = data._yf
     lgam = data._lgamma_y1_rows
     rows = max(1, _CPO_BLOCK // max(data.n, 1))
-    # log sum_t 1/f(y_i | beta_t), accumulated block by block
+    # log sum_t w_t/f(y_i | beta_t) (w_t = 1 without weights), block by block
     log_sum = np.full(data.n, -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_draws, rows):
             etas = draws[start : start + rows] @ data.X.T
             neg_logf = np.exp(etas) - y * etas + lgam  # -log f, may be +inf
+            if log_weights is not None:
+                neg_logf += lw[start : start + rows, None]
             # an infinite max is left unshifted, so its block sum stays +inf
             shift = np.max(neg_logf, axis=0)
             shift[np.isinf(shift)] = 0.0
             block = shift + np.log(np.exp(neg_logf - shift).sum(axis=0))
             np.logaddexp(log_sum, block, out=log_sum)
-    log_cpo = np.log(n_draws) - log_sum
+    log_cpo = log_total - log_sum
     unstable = np.flatnonzero(~np.isfinite(log_cpo))
     if unstable.size:
         warnings.warn(

@@ -295,18 +295,30 @@ def load_dataset(path: str, specs, add_intercept: bool = True) -> Dataset:
         raise DataError(f"{path}: {e}") from None
 
 
-def write_dataset(dataset: Dataset, path: str, response_name: str = "y",
-                  include: list[str] | None = None) -> None:
-    """Write a Dataset back to CSV (full float precision, exact round trip)."""
+def write_dataset(dataset: Dataset, path: str, include: list[str] | None = None) -> None:
+    """Write a Dataset back to CSV, the response as column ``y`` (full float
+    precision, exact round trip)."""
     cols = list(dataset.column_names) if include is None else list(include)
     idx = [dataset.column_names.index(c) for c in cols]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([response_name] + cols)
+        writer.writerow(["y"] + cols)
         for i in range(dataset.n):
             writer.writerow(
                 [str(int(dataset.y[i]))] + [repr(float(dataset.X[i, j])) for j in idx]
             )
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float, an unknown, replaced by None,
+    so that it is written as JSON null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    return value
 
 
 def _provenance(config: dict) -> str:
@@ -319,8 +331,10 @@ def write_outputs(output, summary: PosteriorSummary, outdir: str, names,
     """Write draws.csv (retained draws only), summary.json, optionally
     cpo.csv, and trace.csv with the full pre-burn-in chain when the run
     kept it.  ``config``, the run's config echo (``RunConfig.to_dict()``),
-    names the producing run in every file.  A counter the output lacks or
-    holds as None (unknown) is written as null."""
+    names the producing run in every file.  summary.json is strict JSON: an
+    unknown value (a counter the output lacks or holds as None, or a NaN
+    such as the elapsed time of a run that was not timed) is written as
+    null."""
     os.makedirs(outdir, exist_ok=True)
     names = list(names)
     log_weights = getattr(output, "log_weights", None)
@@ -372,7 +386,7 @@ def write_outputs(output, summary: PosteriorSummary, outdir: str, names,
         "config": config,
     }
     with open(summary_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_json_safe(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
     paths["summary"] = summary_path
 
@@ -440,7 +454,11 @@ def _mh_config(iterations, burnin, d, seed) -> MHConfig:
 
 
 def _cmd_fit(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(
+        args, out=args.out_override, seed=args.seed, iterations=args.iterations,
+        burnin=args.burnin, d=args.d, sampler=args.sampler,
+        keep_burnin=args.keep_burnin, prior_kind=args.prior,
+    )
     data = load_dataset(config.data, config.columns, add_intercept=config.add_intercept)
     prior = _build_prior(config, data)
     mh_config = _mh_config(config.iterations, config.burnin, config.d, config.seed)
@@ -449,18 +467,57 @@ def _cmd_fit(args) -> int:
     else:
         output = is_run(data, prior, mh_config)
     summary = summarize(output, level=config.level)
-    cpo_values = compute_cpo(output.draws, data) if config.cpo else None
+    cpo_values = None
+    if config.cpo:
+        cpo_values = compute_cpo(output.draws, data,
+                                 log_weights=getattr(output, "log_weights", None))
     paths = write_outputs(output, summary, config.out, data.column_names,
                           config.to_dict(), cpo_values=cpo_values)
     print(f"wrote {paths['draws']} and {paths['summary']}")
     return 0
 
 
+def _read_fit_summary(path: str) -> dict:
+    """What ``diagnose`` takes from a fit's summary.json: the fields a draws
+    file cannot hold, each None (unknown) when the file or the field is
+    missing or null.  A field of the wrong kind is a DataError naming the
+    file."""
+    fields = dict.fromkeys(("elapsed_seconds", "acceptance_rate", "proposal_failures",
+                            "tuning_fallbacks", "config"))
+    if not os.path.exists(path):
+        return fields
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: not a JSON object")
+    for key in fields:
+        value = raw.get(key)
+        if value is None:
+            continue
+        if key == "config":
+            # the keys every output file's provenance line echoes
+            ok = isinstance(value, dict) and {"seed", "d", "prior"} <= value.keys()
+            kind = "an object with seed, d and prior"
+        elif key in ("proposal_failures", "tuning_fallbacks"):
+            ok = type(value) is int and value >= 0
+            kind = "a count or null"
+        else:
+            ok = type(value) in (int, float)
+            kind = "a number or null"
+        if not ok:
+            raise DataError(f"{path}: {key} must be {kind}, got {value!r}")
+        fields[key] = value
+    return fields
+
+
 def _cmd_diagnose(args) -> int:
     # --out only redirects where the recomputed files go, and the echoed
     # config is taken from the producing fit's summary when available, so
     # the summary round trip is identical whatever flags diagnose gets
-    config = _config_from_args(args, override_out=False)
+    config = _config_from_args(args)
     data = load_dataset(config.data, config.columns, add_intercept=config.add_intercept)
     draws_path = args.draws or os.path.join(config.out, "draws.csv")
     names, draws, log_weights = load_draws(draws_path)
@@ -471,27 +528,18 @@ def _cmd_diagnose(args) -> int:
         )
     summary_path = args.summary or os.path.join(os.path.dirname(draws_path), "summary.json")
     # what the draws file does not hold comes from the fit's summary, or
-    # stays unknown (nan or null) without one
-    previous = {}
-    if os.path.exists(summary_path):
-        try:
-            with open(summary_path) as fh:
-                previous = json.load(fh)
-        except (OSError, ValueError) as e:
-            raise DataError(f"cannot read {summary_path}: {e}") from None
-        if not isinstance(previous, dict):
-            raise DataError(f"{summary_path}: not a JSON object")
+    # stays unknown without one
+    previous = _read_fit_summary(summary_path)
+    elapsed = previous.pop("elapsed_seconds")
+    echo = previous.pop("config") or config.to_dict()
     output = SimpleNamespace(
         draws=draws, log_weights=log_weights,
-        elapsed_seconds=previous.get("elapsed_seconds", float("nan")),
-        **{key: previous.get(key)
-           for key in ("acceptance_rate", "proposal_failures", "tuning_fallbacks")},
+        elapsed_seconds=math.nan if elapsed is None else elapsed, **previous,
     )
     summary = summarize(output, level=config.level)
-    cpo_values = compute_cpo(draws, data) if config.cpo else None
+    cpo_values = compute_cpo(draws, data, log_weights=log_weights) if config.cpo else None
     outdir = args.out_override or config.out
-    paths = write_outputs(output, summary, outdir, data.column_names,
-                          previous.get("config") or config.to_dict(),
+    paths = write_outputs(output, summary, outdir, data.column_names, echo,
                           cpo_values=cpo_values)
     print(f"wrote {paths['summary']}")
     return 0
@@ -511,7 +559,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     data_path = os.path.join(outdir, "data.csv")
     covariates = [c for c in data.column_names if c != "(Intercept)"]
-    write_dataset(data, data_path, response_name="y", include=covariates)
+    write_dataset(data, data_path, include=covariates)
     truth_path = os.path.join(outdir, "truth.json")
     with open(truth_path, "w") as fh:
         json.dump(
@@ -581,7 +629,12 @@ def _cmd_benchmark(args) -> int:
 # argument parsing
 
 
-def _config_from_args(args, override_out: bool = True) -> RunConfig:
+def _config_from_args(args, **fit_flags) -> RunConfig:
+    """The run config in ``--config`` with every flag that was given put
+    over it: ``--data``, ``--level`` and ``--cpo``, which both fit and
+    diagnose take, and ``fit_flags``, fit's own, keyed as in the config
+    JSON (None where not given), ``prior_kind`` standing for the prior's
+    ``kind``."""
     if not args.config:
         raise ConfigError("--config is required")
     try:
@@ -591,25 +644,12 @@ def _config_from_args(args, override_out: bool = True) -> RunConfig:
         raise ConfigError(f"cannot read config {args.config}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
-    overrides = {
-        "data": args.data,
-        "out": args.out_override if override_out else None,
-        "seed": args.seed,
-        "iterations": args.iterations,
-        "burnin": args.burnin,
-        "d": args.d,
-        "level": args.level,
-        "sampler": args.sampler,
-    }
-    for key, value in overrides.items():
+    prior_kind = fit_flags.pop("prior_kind", None)
+    for key, value in dict(data=args.data, level=args.level, cpo=args.cpo, **fit_flags).items():
         if value is not None:
             raw[key] = value
-    if getattr(args, "prior", None):
-        raw.setdefault("prior", {})["kind"] = args.prior
-    if getattr(args, "keep_burnin", False):
-        raw["keep_burnin"] = True
-    if getattr(args, "cpo", False):
-        raw["cpo"] = True
+    if prior_kind is not None:
+        raw.setdefault("prior", {})["kind"] = prior_kind
     if "data" not in raw or raw["data"] is None:
         raise ConfigError("no data file given (config 'data' or --data)")
     try:
@@ -629,18 +669,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="CSV data file (overrides config)")
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", dest="out_override", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--iterations", type=int)
-        p.add_argument("--burnin", type=int)
-        p.add_argument("--d", type=float, help="NB/Poisson distance bound")
-        p.add_argument("--prior", choices=["gaussian", "horseshoe"])
         p.add_argument("--level", type=float, help="credible level in (0,1)")
-        p.add_argument("--sampler", choices=["mh", "is"])
-        p.add_argument("--keep-burnin", dest="keep_burnin", action="store_true")
-        p.add_argument("--cpo", action="store_true", help="also write cpo.csv")
+        # a switch left off keeps the config's value
+        p.add_argument("--cpo", action="store_true", default=None, help="also write cpo.csv")
 
     p_fit = sub.add_parser("fit", help="run the sampler and write draws + summary")
     common(p_fit)
+    p_fit.add_argument("--seed", type=int)
+    p_fit.add_argument("--iterations", type=int)
+    p_fit.add_argument("--burnin", type=int)
+    p_fit.add_argument("--d", type=float, help="NB/Poisson distance bound")
+    p_fit.add_argument("--prior", choices=["gaussian", "horseshoe"])
+    p_fit.add_argument("--sampler", choices=["mh", "is"])
+    p_fit.add_argument("--keep-burnin", dest="keep_burnin", action="store_true", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_diag = sub.add_parser("diagnose", help="recompute summaries from a draws file")

@@ -1,5 +1,5 @@
-"""Data model, exact Poisson log-likelihood, negative-binomial approximation,
-and conditionally Gaussian log-priors.
+"""Data model, exact Poisson log-likelihood, and conditionally Gaussian
+log-priors.
 
 Everything here is a pure function of its arguments; ``Dataset`` and
 ``GaussianPriorParams`` are immutable after construction and safe to share
@@ -18,7 +18,6 @@ __all__ = [
     "Dataset",
     "GaussianPriorParams",
     "log_poisson_likelihood",
-    "log_nb_likelihood",
     "log_gaussian_prior",
 ]
 
@@ -154,15 +153,6 @@ class GaussianPriorParams:
         return f"GaussianPriorParams(p={self.p}, diagonal={self.is_diagonal})"
 
 
-def _check_beta(beta, data: Dataset) -> np.ndarray:
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (data.p,):
-        raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
-    if not np.all(np.isfinite(beta)):
-        raise ValueError("beta contains non-finite entries")
-    return beta
-
-
 def log_poisson_likelihood(beta, data: Dataset) -> float:
     """Exact Poisson log-likelihood sum_i [y_i eta_i - exp(eta_i) - lgamma(y_i+1)]
     with eta_i = x_i' beta.
@@ -170,9 +160,12 @@ def log_poisson_likelihood(beta, data: Dataset) -> float:
     Returns -inf when any exp(eta_i) overflows double precision, so callers
     can treat such coefficient vectors as having zero likelihood.
     """
-    beta = _check_beta(beta, data)
-    eta = data.X @ beta
-    return _log_poisson_from_eta(eta, data)
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.shape != (data.p,):
+        raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta contains non-finite entries")
+    return _log_poisson_from_eta(data.X @ beta, data)
 
 
 def _log_poisson_from_eta(eta, data: Dataset) -> float:
@@ -180,34 +173,6 @@ def _log_poisson_from_eta(eta, data: Dataset) -> float:
         return -np.inf
     value = float(data._yf @ eta - np.exp(eta).sum() - data._lgamma_y1)
     return value if np.isfinite(value) else -np.inf
-
-
-def log_nb_likelihood(beta, r, data: Dataset, normalized: bool = False) -> float:
-    """Negative-binomial approximate log-likelihood with per-observation
-    stopping parameters r_i and success probabilities lambda_i/(r_i+lambda_i).
-
-    With ``normalized=False`` only the beta-dependent kernel
-    sum_i [r_i log(r_i/(r_i+lambda_i)) + y_i log(lambda_i/(r_i+lambda_i))]
-    is returned; ``normalized=True`` adds the combinatorial terms
-    lgamma(y_i+r_i) - lgamma(r_i) - lgamma(y_i+1) so the result is a proper
-    log pmf.
-    """
-    beta = _check_beta(beta, data)
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (data.n,):
-        raise ValueError(f"r has shape {r.shape}, expected ({data.n},)")
-    if np.any(r <= 0) or not np.all(np.isfinite(r)):
-        raise ValueError("all r_i must be positive and finite")
-    eta = data.X @ beta
-    log_r = np.log(r)
-    # log(r + lambda) without forming exp(eta); stable for large eta
-    log_r_lam = np.logaddexp(log_r, eta)
-    value = float(np.sum(r * (log_r - log_r_lam) + data._yf * (eta - log_r_lam)))
-    if normalized:
-        from scipy.special import gammaln
-
-        value += float(np.sum(gammaln(data._yf + r) - gammaln(r)) - data._lgamma_y1)
-    return value
 
 
 def log_gaussian_prior(beta, prior: GaussianPriorParams) -> float:

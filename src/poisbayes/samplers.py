@@ -44,7 +44,6 @@ __all__ = [
     "MHConfig",
     "ChainOutput",
     "ISOutput",
-    "StepTrace",
     "mh_run",
     "is_run",
     "random_walk_mh",
@@ -135,15 +134,6 @@ class MHConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class StepTrace:
-    """Per-iteration internals recorded on request for replay checks."""
-
-    proposals: np.ndarray
-    log_alphas: np.ndarray
-    uniforms: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ChainOutput:
     """Output of an MH run; ``draws`` holds the post-burn-in part only."""
 
@@ -157,7 +147,6 @@ class ChainOutput:
     full_draws: np.ndarray | None = None
     proposal_failures: int = 0
     tuning_fallbacks: int = 0
-    step_trace: StepTrace | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +396,7 @@ class _PGKernel:
 
 
 def mh_run(data: Dataset, prior: PriorSpec, config: MHConfig,
-           keep_burnin: bool = False, keep_step_trace: bool = False) -> ChainOutput:
+           keep_burnin: bool = False) -> ChainOutput:
     """Run the PG-expectation MH chain.
 
     Under the horseshoe prior each beta update is followed by one sweep of
@@ -416,22 +405,13 @@ def mh_run(data: Dataset, prior: PriorSpec, config: MHConfig,
     covers the sampling loop only.
     """
     kernel = _PGKernel(data, config.tuning, TuningDiagnostics())
-    iters = int(config.iterations)
     burnin = int(config.burnin)
-    accepted = np.zeros(iters, dtype=bool)
-    step_trace = None
-    if keep_step_trace:
-        step_trace = StepTrace(proposals=np.empty((iters, data.p)),
-                               log_alphas=np.empty(iters), uniforms=np.empty(iters))
+    accepted = np.zeros(int(config.iterations), dtype=bool)
 
     def step(t, state, prior_params, rng):
         z = rng.standard_normal(data.p)
         u = rng.uniform()
-        state, beta_star, accepted[t], log_alpha = kernel.step(state, prior_params, z, u)
-        if step_trace is not None:
-            step_trace.proposals[t] = beta_star
-            step_trace.log_alphas[t] = log_alpha
-            step_trace.uniforms[t] = u
+        state, _, accepted[t], _ = kernel.step(state, prior_params, z, u)
         return state, state.beta
 
     trace, eta2_trace, elapsed = _drive(data, prior, config, kernel.make_state, step)
@@ -446,7 +426,6 @@ def mh_run(data: Dataset, prior: PriorSpec, config: MHConfig,
         full_draws=trace if keep_burnin else None,
         proposal_failures=kernel.proposal_failures,
         tuning_fallbacks=kernel.tuning_diag.closed_form_fallbacks,
-        step_trace=step_trace,
     )
 
 

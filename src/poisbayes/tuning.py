@@ -7,8 +7,8 @@ Poisson/negative-binomial CDF-ratio distance
 
 stays below a user bound d.  d_A is non-negative, strictly decreasing in r
 and vanishes as r -> infinity; it equals the empirical sup-ratio distance
-attained at y = 0 (see ``empirical_cdf_ratio_distance``, used in the tests
-to validate it by brute force).
+attained at y = 0, which the tests check against a brute-force sum over y
+(``empirical_cdf_ratio_distance`` in ``tests/oracles.py``).
 
 A Lambert-W closed form gives every r_i: with L = lambda - log(1+d) the
 equation d_A(lambda, r) = d is solved exactly by
@@ -38,7 +38,6 @@ __all__ = [
     "TuningPolicy",
     "TuningDiagnostics",
     "nb_poisson_distance",
-    "empirical_cdf_ratio_distance",
     "lambert_w",
     "solve_r",
     "compute_r_vector",
@@ -94,44 +93,6 @@ def nb_poisson_distance(lam, r):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def empirical_cdf_ratio_distance(lam, r, full_output: bool = False):
-    """Brute-force sup over y of the absolute CDF-ratio error between the
-    negative binomial NB(r, lambda/(r+lambda)) and Poisson(lambda).
-
-    Both CDFs are accumulated from pmf recurrences until each exceeds
-    1 - 1e-12.  Intended as a test oracle for ``nb_poisson_distance``;
-    with ``full_output=True`` also returns the y attaining the sup.
-    """
-    lam = float(lam)
-    r = float(r)
-    if lam < 0 or r <= 0 or not (math.isfinite(lam) and math.isfinite(r)):
-        raise ValueError("lambda must be >= 0 and r > 0, both finite")
-    if lam == 0.0:
-        return (0.0, 0) if full_output else 0.0
-    pois_pmf = math.exp(-lam)
-    nb_pmf = math.exp(-r * math.log1p(lam / r))
-    pois_cdf = pois_pmf
-    nb_cdf = nb_pmf
-    q = lam / (r + lam)
-    best = abs(nb_cdf / pois_cdf - 1.0)
-    arg = 0
-    y = 0
-    target = 1.0 - 1e-12
-    while pois_cdf < target or nb_cdf < target:
-        y += 1
-        pois_pmf *= lam / y
-        nb_pmf *= (y - 1.0 + r) / y * q
-        pois_cdf += pois_pmf
-        nb_cdf += nb_pmf
-        err = abs(nb_cdf / pois_cdf - 1.0)
-        if err > best:
-            best = err
-            arg = y
-        if y > 10_000_000:  # pragma: no cover - defensive
-            break
-    return (best, arg) if full_output else best
 
 
 def _lambert_w_vec(x, branch):

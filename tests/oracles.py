@@ -5,6 +5,8 @@ formulas, quadrature, brute-force summation) and deliberately avoids the
 package code paths it is used to validate.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate, optimize
 from scipy.special import gammaln
@@ -14,6 +16,70 @@ def poisson_logpmf(y, lam):
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
     return y * np.log(lam) - lam - gammaln(y + 1.0)
+
+
+def log_nb_likelihood(beta, r, data, normalized=False):
+    """Negative-binomial approximate log-likelihood with per-observation
+    stopping parameters r_i and success probabilities lambda_i/(r_i+lambda_i).
+
+    With ``normalized=False`` only the beta-dependent kernel
+    sum_i [r_i log(r_i/(r_i+lambda_i)) + y_i log(lambda_i/(r_i+lambda_i))]
+    is returned; ``normalized=True`` adds the combinatorial terms
+    lgamma(y_i+r_i) - lgamma(r_i) - lgamma(y_i+1) so the result is a proper
+    log pmf.
+    """
+    y = np.asarray(data.y, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if r.shape != y.shape:
+        raise ValueError(f"r has shape {r.shape}, expected {y.shape}")
+    if np.any(r <= 0) or not np.all(np.isfinite(r)):
+        raise ValueError("all r_i must be positive and finite")
+    eta = data.X @ np.asarray(beta, dtype=float)
+    log_r = np.log(r)
+    # log(r + lambda) without forming exp(eta); stable for large eta
+    log_r_lam = np.logaddexp(log_r, eta)
+    value = float(np.sum(r * (log_r - log_r_lam) + y * (eta - log_r_lam)))
+    if normalized:
+        value += float(np.sum(gammaln(y + r) - gammaln(r) - gammaln(y + 1.0)))
+    return value
+
+
+def empirical_cdf_ratio_distance(lam, r, full_output: bool = False):
+    """Brute-force sup over y of the absolute CDF-ratio error between the
+    negative binomial NB(r, lambda/(r+lambda)) and Poisson(lambda).
+
+    Both CDFs are accumulated from pmf recurrences until each exceeds
+    1 - 1e-12; the oracle for ``tuning.nb_poisson_distance``.  With
+    ``full_output=True`` also returns the y attaining the sup.
+    """
+    lam = float(lam)
+    r = float(r)
+    if lam < 0 or r <= 0 or not (math.isfinite(lam) and math.isfinite(r)):
+        raise ValueError("lambda must be >= 0 and r > 0, both finite")
+    if lam == 0.0:
+        return (0.0, 0) if full_output else 0.0
+    pois_pmf = math.exp(-lam)
+    nb_pmf = math.exp(-r * math.log1p(lam / r))
+    pois_cdf = pois_pmf
+    nb_cdf = nb_pmf
+    q = lam / (r + lam)
+    best = abs(nb_cdf / pois_cdf - 1.0)
+    arg = 0
+    y = 0
+    target = 1.0 - 1e-12
+    while pois_cdf < target or nb_cdf < target:
+        y += 1
+        pois_pmf *= lam / y
+        nb_pmf *= (y - 1.0 + r) / y * q
+        pois_cdf += pois_pmf
+        nb_cdf += nb_pmf
+        err = abs(nb_cdf / pois_cdf - 1.0)
+        if err > best:
+            best = err
+            arg = y
+        if y > 10_000_000:  # pragma: no cover - defensive
+            break
+    return (best, arg) if full_output else best
 
 
 def log_posterior_1d(b, y, x, prior_mean=0.0, prior_var=1.0):

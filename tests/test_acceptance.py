@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    empirical_cdf_ratio_distance,
+    log_nb_likelihood,
     mc_se_mean,
     mc_se_sd,
     quad_cpo_1d,
@@ -29,11 +31,9 @@ from poisbayes import (
     SimDesign,
     TuningPolicy,
     cpo,
-    empirical_cdf_ratio_distance,
     ess_chain,
     is_run,
     lambert_w,
-    log_nb_likelihood,
     log_poisson_likelihood,
     lpml,
     mh_run,

@@ -183,6 +183,44 @@ class TestCPO:
         assert lpml(values) == pytest.approx(float(np.sum(logs)), abs=1e-10)
 
 
+    def test_uniform_weights_match_unweighted_exactly(self):
+        data = self.make_data()
+        rng = np.random.default_rng(8)
+        draws = rng.normal(0.5, 0.2, size=(400, 1))
+        logs = cpo(draws, data, return_log=True)
+        for lw in (np.zeros(400), np.full(400, -812.5)):
+            np.testing.assert_array_equal(cpo(draws, data, return_log=True, log_weights=lw), logs)
+        # a zero weight leaves its draw out
+        lw = np.zeros(401)
+        lw[0] = -np.inf
+        with_zero = cpo(np.vstack([[[50.0]], draws]), data, return_log=True, log_weights=lw)
+        np.testing.assert_array_equal(with_zero, logs)
+
+    @pytest.mark.parametrize("lw, match", [
+        (np.zeros(399), "log_weights must be"),
+        (np.r_[np.zeros(399), np.nan], "finite or -inf"),
+        (np.r_[np.zeros(399), np.inf], "finite or -inf"),
+    ], ids=["short", "nan", "plus_inf"])
+    def test_bad_log_weights_rejected(self, lw, match):
+        with pytest.raises(ValueError, match=match):
+            cpo(np.full((400, 1), 0.4), self.make_data(), log_weights=lw)
+
+    def test_importance_sample_weighted_like_mh(self):
+        # adaptive IS draws come from the proposal, not the posterior: their
+        # CPO needs the importance weights (unweighted, LPML read -101.29)
+        from poisbayes import (FixedGaussianPrior, GaussianPriorParams, MHConfig, SimDesign,
+                               TuningPolicy, is_run, mh_run, simulate_dataset)
+
+        data, _ = simulate_dataset(SimDesign(50, 3), np.random.default_rng(2))
+        prior = FixedGaussianPrior(GaussianPriorParams(np.zeros(3), 2.0 * np.eye(3)))
+        config = MHConfig(iterations=6000, burnin=1000, tuning=TuningPolicy(d=1.0), seed=5)
+        mh = mh_run(data, prior, config)
+        importance = is_run(data, prior, config)
+        mh_lpml = lpml(cpo(mh.draws, data))
+        is_lpml = lpml(cpo(importance.draws, data, log_weights=importance.log_weights))
+        assert abs(is_lpml - mh_lpml) < 0.1
+
+
 class TestLPML:
     def test_all_ones(self):
         assert lpml(np.ones(5)) == 0.0

@@ -292,6 +292,18 @@ class TestCLI:
     def test_unknown_flag_exits_2(self):
         assert run_cli(["fit", "--nonsense"]) == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--seed", "99"], ["--iterations", "7"], ["--burnin", "1"], ["--d", "3.0"],
+        ["--prior", "horseshoe"], ["--sampler", "is"], ["--keep-burnin"],
+    ], ids=lambda flag: flag[0].removeprefix("--"))
+    def test_diagnose_rejects_sampling_flags(self, toy_files, flag, capsys):
+        # diagnose reads draws and does not sample, so these are fit's alone
+        tmp_path, data_path, _ = toy_files
+        config_path, _ = run_config(tmp_path, data_path)
+        assert run_cli(["diagnose", "--config", config_path] + flag) == 2
+        # "--d" is also a prefix of diagnose's --data and --draws
+        assert re.search("unrecognized arguments|ambiguous option", capsys.readouterr().err)
+
     def test_help_exits_0(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "poisbayes" in capsys.readouterr().out
@@ -370,7 +382,14 @@ class TestCLI:
         ("draws.csv", "(Intercept)\n0.5\n0.5,0.7\n", r"draws\.csv: row 3: expected 1 fields"),
         ("summary.json", "{not json", r"cannot read .*summary\.json"),
         ("summary.json", "[1, 2]", r"summary\.json: not a JSON object"),
-    ], ids=["draws_text_cell", "draws_ragged_row", "summary_not_json", "summary_list"])
+        ("summary.json", '{"config": {"seed": 1, "prior": {"kind": "gaussian"}}}',
+         r"summary\.json: config must be an object with seed, d and prior"),
+        ("summary.json", '{"elapsed_seconds": "abc"}',
+         r"summary\.json: elapsed_seconds must be a number or null"),
+        ("summary.json", '{"tuning_fallbacks": "x"}',
+         r"summary\.json: tuning_fallbacks must be a count or null"),
+    ], ids=["draws_text_cell", "draws_ragged_row", "summary_not_json", "summary_list",
+            "config_without_d", "elapsed_text", "fallbacks_text"])
     def test_bad_diagnose_input_exits_3(self, toy_files, target, text, message, capsys):
         tmp_path, data_path, _ = toy_files
         config_path, _ = run_config(tmp_path, data_path, iterations=400, burnin=100)
@@ -378,6 +397,28 @@ class TestCLI:
         write_csv(tmp_path / "out" / target, text)
         assert run_cli(["diagnose", "--config", config_path, "--out", str(tmp_path / "re")]) == 3
         assert re.search(message, capsys.readouterr().err)
+
+    def test_diagnose_without_fit_summary_writes_strict_json(self, toy_files):
+        tmp_path, data_path, _ = toy_files
+        config_path, raw = run_config(tmp_path, data_path, iterations=400, burnin=100)
+        assert run_cli(["fit", "--config", config_path]) == 0
+        os.remove(tmp_path / "out" / "summary.json")
+        assert run_cli(["diagnose", "--config", config_path, "--out", str(tmp_path / "re")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads(open(tmp_path / "re" / "summary.json").read(),
+                             parse_constant=reject)
+        # what only the fit knew is unknown; the echo is the config file's
+        assert summary["elapsed_seconds"] is None
+        assert summary["time_per_independent_sample"] is None
+        assert summary["config"] == RunConfig.from_dict(raw).to_dict()
+        # a diagnose of that diagnose reads the nulls back as unknown
+        assert run_cli(["diagnose", "--config", config_path,
+                        "--draws", str(tmp_path / "re" / "draws.csv"),
+                        "--out", str(tmp_path / "re2")]) == 0
+        assert json.load(open(tmp_path / "re2" / "summary.json")) == summary
 
     def test_load_draws_keeps_zero_weights(self, tmp_path):
         path = write_csv(tmp_path / "draws.csv", "b0,log_weight\n0.1,-inf\n0.2,-1.5\n")

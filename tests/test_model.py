@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+from oracles import log_nb_likelihood
 from poisbayes import (
     Dataset,
     GaussianPriorParams,
     log_gaussian_prior,
-    log_nb_likelihood,
     log_poisson_likelihood,
 )
 

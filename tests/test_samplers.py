@@ -45,6 +45,21 @@ def pg_kernel(data, policy):
     return samplers_mod._PGKernel(data, policy, TuningDiagnostics())
 
 
+@pytest.fixture
+def step_record(monkeypatch):
+    """(proposal, log_alpha, u) of every PG-kernel MH step, in order."""
+    record = []
+    real = samplers_mod._PGKernel.step
+
+    def recording(self, state, prior, z, u):
+        out = real(self, state, prior, z, u)
+        record.append((out[1], out[3], u))
+        return out
+
+    monkeypatch.setattr(samplers_mod._PGKernel, "step", recording)
+    return record
+
+
 class TestMHStep:
     def test_identity_proposal_accepts_with_log_alpha_zero(self, toy_1d):
         prior = unit_prior()
@@ -66,11 +81,11 @@ class TestMHStep:
         assert abs(log_alpha) < 1e-9
         assert accepted
 
-    def test_positive_log_alpha_always_accepts(self, toy_1d):
+    def test_positive_log_alpha_always_accepts(self, toy_1d, step_record):
         prior = unit_prior()
         config = MHConfig(iterations=300, burnin=0, tuning=TuningPolicy(d=0.5), seed=4)
-        out = mh_run(toy_1d, FixedGaussianPrior(prior), config, keep_step_trace=True)
-        positive = out.step_trace.log_alphas > 0
+        out = mh_run(toy_1d, FixedGaussianPrior(prior), config)
+        positive = np.array([log_alpha for _, log_alpha, _ in step_record]) > 0
         assert positive.any()
         assert out.accepted[positive].all()
 
@@ -142,18 +157,17 @@ class TestMHRun:
         assert abs(draws.mean() - mean_q) < 3 * mc_se_mean(draws, ess)
         assert abs(draws.std(ddof=1) - sd_q) < 3 * mc_se_sd(draws, ess)
 
-    def test_replay_reproduces_decisions(self, toy_1d):
+    def test_replay_reproduces_decisions(self, toy_1d, step_record):
         policy = TuningPolicy(d=0.3)
         prior = unit_prior()
         config = MHConfig(iterations=60, burnin=0, tuning=policy, seed=77)
-        out = mh_run(toy_1d, FixedGaussianPrior(prior), config,
-                     keep_burnin=True, keep_step_trace=True)
+        out = mh_run(toy_1d, FixedGaussianPrior(prior), config, keep_burnin=True)
+        assert len(step_record) == config.iterations
         beta_prev = poisson_mle(toy_1d)
         for t in range(config.iterations):
-            beta_star = out.step_trace.proposals[t]
+            beta_star, recorded_log_alpha, u = step_record[t]
             log_alpha = self._replay_log_alpha(beta_prev, beta_star, toy_1d, prior, policy)
-            assert log_alpha == out.step_trace.log_alphas[t]
-            u = out.step_trace.uniforms[t]
+            assert log_alpha == recorded_log_alpha
             accepted = log_alpha >= 0.0 or np.log(u) < log_alpha
             assert accepted == out.accepted[t]
             beta_prev = out.full_draws[t]
@@ -353,23 +367,22 @@ class TestHorseshoe:
         y = rng.poisson(np.exp(X @ np.array([0.6, 0.4, 0.0])))
         return Dataset(y=y, X=X, column_names=("b0", "b1", "b2"))
 
-    def test_replay_reproduces_decisions(self):
+    def test_replay_reproduces_decisions(self, step_record):
         # the effective prior changes every sweep, so each step re-factors the
         # current state's cached data terms under a new prior
         data = self._data_p3()
         policy = TuningPolicy(d=0.3)
         tau = 0.4
         config = MHConfig(iterations=60, burnin=0, tuning=policy, seed=5)
-        out = mh_run(data, HorseshoePrior(tau=tau), config,
-                     keep_burnin=True, keep_step_trace=True)
+        out = mh_run(data, HorseshoePrior(tau=tau), config, keep_burnin=True)
+        assert len(step_record) == config.iterations
         beta_prev = poisson_mle(data)
         eta2 = np.ones(data.p)
         for t in range(config.iterations):
             prior = GaussianPriorParams(np.zeros(data.p), np.diag(tau**2 * eta2))
-            beta_star = out.step_trace.proposals[t]
+            beta_star, recorded_log_alpha, u = step_record[t]
             log_alpha = TestMHRun._replay_log_alpha(beta_prev, beta_star, data, prior, policy)
-            assert log_alpha == out.step_trace.log_alphas[t]
-            u = out.step_trace.uniforms[t]
+            assert log_alpha == recorded_log_alpha
             assert (log_alpha >= 0.0 or np.log(u) < log_alpha) == out.accepted[t]
             beta_prev = out.full_draws[t]
             eta2 = out.prior_trace[t]

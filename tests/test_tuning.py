@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import poisbayes.tuning as tuning
+from oracles import empirical_cdf_ratio_distance
 from poisbayes import (
     Dataset,
     TuningDiagnostics,
     TuningPolicy,
     compute_r_vector,
-    empirical_cdf_ratio_distance,
     lambert_w,
     nb_poisson_distance,
     solve_r,
