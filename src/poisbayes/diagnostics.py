@@ -171,14 +171,16 @@ def cpo(draws, data: Dataset, return_log: bool = False, log_weights=None):
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 2 or draws.shape[1] != data.p:
         raise ValueError(f"draws must be (T, {data.p}), got {draws.shape}")
-    if log_weights is not None:
-        lw = np.asarray(log_weights, dtype=np.float64)
-        if lw.shape != draws.shape[:1]:
-            raise ValueError(f"log_weights must be ({draws.shape[0]},), got {lw.shape}")
-        if np.any(np.isnan(lw) | (lw == np.inf)):
-            raise ValueError("log_weights must be finite or -inf")
-        kept = lw > -np.inf
-        draws, lw = draws[kept], lw[kept]
+    # no weights is equal weights: exp(0) summed over T draws is exactly T
+    if log_weights is None:
+        log_weights = np.zeros(draws.shape[0])
+    lw = np.asarray(log_weights, dtype=np.float64)
+    if lw.shape != draws.shape[:1]:
+        raise ValueError(f"log_weights must be ({draws.shape[0]},), got {lw.shape}")
+    if np.any(np.isnan(lw) | (lw == np.inf)):
+        raise ValueError("log_weights must be finite or -inf")
+    kept = lw > -np.inf
+    draws, lw = draws[kept], lw[kept]
     n_draws = draws.shape[0]
     if n_draws < 1:
         raise ValueError("need at least one draw")
@@ -186,23 +188,19 @@ def cpo(draws, data: Dataset, return_log: bool = False, log_weights=None):
         warnings.warn(
             f"only {n_draws} draws; CPO estimates may be unstable", UserWarning
         )
-    if log_weights is None:
-        log_total = np.log(n_draws)
-    else:
-        # shifted so the largest weight is 1; the shift cancels in the ratio
-        lw = lw - np.max(lw)
-        log_total = np.log(np.exp(lw).sum())
+    # shifted so the largest weight is 1; the shift cancels in the ratio
+    lw = lw - np.max(lw)
+    log_total = np.log(np.exp(lw).sum())
     y = data._yf
     lgam = data._lgamma_y1_rows
     rows = max(1, _CPO_BLOCK // max(data.n, 1))
-    # log sum_t w_t/f(y_i | beta_t) (w_t = 1 without weights), block by block
+    # log sum_t w_t/f(y_i | beta_t), block by block
     log_sum = np.full(data.n, -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_draws, rows):
             etas = draws[start : start + rows] @ data.X.T
             neg_logf = np.exp(etas) - y * etas + lgam  # -log f, may be +inf
-            if log_weights is not None:
-                neg_logf += lw[start : start + rows, None]
+            neg_logf += lw[start : start + rows, None]
             # an infinite max is left unshifted, so its block sum stays +inf
             shift = np.max(neg_logf, axis=0)
             shift[np.isinf(shift)] = 0.0

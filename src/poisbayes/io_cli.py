@@ -454,11 +454,7 @@ def _mh_config(iterations, burnin, d, seed) -> MHConfig:
 
 
 def _cmd_fit(args) -> int:
-    config = _config_from_args(
-        args, out=args.out_override, seed=args.seed, iterations=args.iterations,
-        burnin=args.burnin, d=args.d, sampler=args.sampler,
-        keep_burnin=args.keep_burnin, prior_kind=args.prior,
-    )
+    config = _config_from_args(args, out=args.out_override)
     data = load_dataset(config.data, config.columns, add_intercept=config.add_intercept)
     prior = _build_prior(config, data)
     mh_config = _mh_config(config.iterations, config.burnin, config.d, config.seed)
@@ -629,12 +625,10 @@ def _cmd_benchmark(args) -> int:
 # argument parsing
 
 
-def _config_from_args(args, **fit_flags) -> RunConfig:
+def _config_from_args(args, out: str | None = None) -> RunConfig:
     """The run config in ``--config`` with every flag that was given put
-    over it: ``--data``, ``--level`` and ``--cpo``, which both fit and
-    diagnose take, and ``fit_flags``, fit's own, keyed as in the config
-    JSON (None where not given), ``prior_kind`` standing for the prior's
-    ``kind``."""
+    over it, and ``out``, when given, as its output directory.  A flag the
+    subcommand does not take counts as not given."""
     if not args.config:
         raise ConfigError("--config is required")
     try:
@@ -644,12 +638,15 @@ def _config_from_args(args, **fit_flags) -> RunConfig:
         raise ConfigError(f"cannot read config {args.config}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
-    prior_kind = fit_flags.pop("prior_kind", None)
-    for key, value in dict(data=args.data, level=args.level, cpo=args.cpo, **fit_flags).items():
+    overrides = {key: getattr(args, key, None)
+                 for key in ("data", "seed", "iterations", "burnin", "d", "level",
+                             "sampler", "keep_burnin", "cpo")}
+    overrides["out"] = out
+    for key, value in overrides.items():
         if value is not None:
             raw[key] = value
-    if prior_kind is not None:
-        raw.setdefault("prior", {})["kind"] = prior_kind
+    if getattr(args, "prior", None) is not None:
+        raw.setdefault("prior", {})["kind"] = args.prior
     if "data" not in raw or raw["data"] is None:
         raise ConfigError("no data file given (config 'data' or --data)")
     try:
