@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -82,17 +83,51 @@ class ColumnSpec:
             )
 
 
+# each prior kind's keys after "kind", in echo order, with their defaults;
+# a key with a default is a float, the others are echoed as given
+_PRIORS = {"gaussian": {"mean": 0.0, "var": 2.0}, "horseshoe": {"tau": None, "p_n": None}}
+# the JSON values a value annotated so takes (annotations are strings in
+# this module); a bool is never a number
+_TYPES = {"str": (str, "a string"), "bool": (bool, "true or false"),
+          "int": ((int, float), "a number"), "float": ((int, float), "a number")}
+
+
+def _check_type(name: str, value, annotation: str) -> None:
+    types, kind = _TYPES[annotation]
+    if not isinstance(value, types) or isinstance(value, bool) != (annotation == "bool"):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def _normal_prior(prior) -> dict:
+    """``prior`` as its kind's keys in echo order, each default filled in."""
+    if not isinstance(prior, dict):
+        raise ConfigError(f"prior must be an object, got {prior!r}")
+    kind = prior.get("kind", "gaussian")
+    if kind not in _PRIORS:
+        raise ConfigError(f"unknown prior {kind!r}")
+    unknown = prior.keys() - {"kind", *_PRIORS[kind]}
+    if unknown:
+        raise ConfigError(f"a {kind} prior takes no key {min(unknown)!r}")
+    normal = {"kind": kind}
+    for key, default in _PRIORS[kind].items():
+        value = prior.get(key, default)
+        if value is not None:
+            _check_type(f"prior {key}", value, "float")
+        normal[key] = value if default is None else float(value)
+    if kind == "horseshoe" and normal["tau"] is None and normal["p_n"] is None:
+        raise ConfigError("horseshoe prior needs either tau or p_n")
+    return normal
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a ``fit`` needs; JSON-serializable and echoed into outputs."""
+    """Everything a ``fit`` needs.  The fields are the config file's keys,
+    in the order the JSON echo in every output lists them."""
 
     data: str
     columns: tuple[ColumnSpec, ...]
-    prior_kind: str = "gaussian"
-    prior_mean: float = 0.0
-    prior_var: float = 2.0
-    tau: float | None = None
-    p_n: int | None = None
+    # the config file's prior object, normalised to its kind's keys
+    prior: dict = dataclasses.field(default_factory=lambda: {"kind": "gaussian"})
     sampler: str = "mh"
     iterations: int = 10000
     burnin: int = 5000
@@ -105,17 +140,13 @@ class RunConfig:
     cpo: bool = False
 
     def __post_init__(self):
-        if self.prior_kind not in ("gaussian", "horseshoe"):
-            raise ConfigError(f"unknown prior {self.prior_kind!r}")
-        if self.prior_kind == "horseshoe" and self.tau is None and self.p_n is None:
-            raise ConfigError("horseshoe prior needs either tau or p_n")
+        for f in dataclasses.fields(self):
+            if f.type in _TYPES:
+                _check_type(f.name, getattr(self, f.name), f.type)
+        object.__setattr__(self, "prior", _normal_prior(self.prior))
         if self.sampler not in ("mh", "is"):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        for key in ("add_intercept", "keep_burnin", "cpo"):
-            if not isinstance(getattr(self, key), bool):
-                raise ConfigError(f"{key} must be true or false, got {getattr(self, key)!r}")
-        # iterations, burnin, d and seed follow MHConfig's rules
-        _mh_config(self.iterations, self.burnin, self.d, self.seed)
+        self.sampler_config()
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must be in (0, 1)")
         responses = [c for c in self.columns if c.kind == "response"]
@@ -124,60 +155,35 @@ class RunConfig:
                 f"exactly one response column required, found {len(responses)}"
             )
 
+    def sampler_config(self) -> MHConfig:
+        """The sampler settings, under MHConfig's rules."""
+        with _config_errors():
+            return MHConfig(iterations=self.iterations, burnin=self.burnin,
+                            tuning=TuningPolicy(d=float(self.d)), seed=self.seed)
+
     def to_dict(self) -> dict:
-        prior: dict = {"kind": self.prior_kind}
-        if self.prior_kind == "gaussian":
-            prior.update(mean=self.prior_mean, var=self.prior_var)
-        else:
-            prior.update(tau=self.tau, p_n=self.p_n)
-        return {
-            "data": self.data,
-            "columns": [
-                {k: v for k, v in dataclasses.asdict(c).items() if v not in (None, False)}
-                for c in self.columns
-            ],
-            "prior": prior,
-            "sampler": self.sampler,
-            "iterations": int(self.iterations),
-            "burnin": int(self.burnin),
-            "d": self.d,
-            "seed": int(self.seed),
-            "level": self.level,
-            "out": self.out,
-            "add_intercept": self.add_intercept,
-            "keep_burnin": self.keep_burnin,
-            "cpo": self.cpo,
-        }
+        """The config as JSON: each field under its name, in field order."""
+        raw = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # a count given as 1e4 is echoed as 10000
+            raw[f.name] = int(value) if f.type == "int" else value
+        raw["columns"] = [
+            {k: v for k, v in dataclasses.asdict(c).items() if v not in (None, False)}
+            for c in self.columns
+        ]
+        raw["prior"] = dict(self.prior)
+        return raw
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """The config a JSON object holds; a key that is not a field, or not
+        a column's, is a ConfigError."""
         try:
-            columns = tuple(
-                ColumnSpec(
-                    name=c["name"],
-                    kind=c["kind"],
-                    standardize=c.get("standardize", False),
-                    reference_level=c.get("reference_level"),
-                )
-                for c in raw["columns"]
-            )
-        except KeyError as e:
-            raise ConfigError(f"column spec missing field {e}") from None
-        prior = raw.get("prior", {"kind": "gaussian"})
-        kwargs = dict(
-            data=raw["data"],
-            columns=columns,
-            prior_kind=prior.get("kind", "gaussian"),
-            prior_mean=float(prior.get("mean", 0.0)),
-            prior_var=float(prior.get("var", 2.0)),
-            tau=prior.get("tau"),
-            p_n=prior.get("p_n"),
-        )
-        for key in ("sampler", "iterations", "burnin", "d", "seed", "level", "out",
-                    "add_intercept", "keep_burnin", "cpo"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        return cls(**kwargs)
+            columns = tuple(ColumnSpec(**c) for c in raw.get("columns", ()))
+            return cls(**{**raw, "columns": columns})
+        except TypeError as e:  # a key missing or unknown, or a column not an object
+            raise ConfigError(f"bad config: {e}") from None
 
 
 def _parse_cell(raw: str, path: str, row: int, name: str) -> float:
@@ -417,14 +423,15 @@ def load_draws(path: str):
 
 
 def _build_prior(config: RunConfig, data: Dataset) -> PriorSpec:
+    prior = config.prior
     with _config_errors():
-        if config.prior_kind == "gaussian":
+        if prior["kind"] == "gaussian":
             params = GaussianPriorParams(
-                np.full(data.p, config.prior_mean),
-                config.prior_var * np.eye(data.p),
+                np.full(data.p, prior["mean"]),
+                prior["var"] * np.eye(data.p),
             )
             return FixedGaussianPrior(params)
-        tau = config.tau if config.tau is not None else tau_optimal(data.n, config.p_n)
+        tau = prior["tau"] if prior["tau"] is not None else tau_optimal(data.n, prior["p_n"])
         return HorseshoePrior(tau=float(tau))
 
 
@@ -439,16 +446,6 @@ def _config_errors():
         raise ConfigError(str(e)) from None
 
 
-def _mh_config(iterations, burnin, d, seed) -> MHConfig:
-    with _config_errors():
-        return MHConfig(
-            iterations=iterations,
-            burnin=burnin,
-            tuning=TuningPolicy(d=float(d)),
-            seed=seed,
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -457,7 +454,7 @@ def _cmd_fit(args) -> int:
     config = _config_from_args(args, out=args.out_override)
     data = load_dataset(config.data, config.columns, add_intercept=config.add_intercept)
     prior = _build_prior(config, data)
-    mh_config = _mh_config(config.iterations, config.burnin, config.d, config.seed)
+    mh_config = config.sampler_config()
     if config.sampler == "mh":
         output = mh_run(data, prior, mh_config, keep_burnin=config.keep_burnin)
     else:
@@ -599,11 +596,12 @@ def _parse_grid(raw: str) -> tuple[list[int], list[int]]:
 def _cmd_benchmark(args) -> int:
     ns, ps = _parse_grid(args.grid)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    config = _mh_config(args.iterations, args.burnin, args.d, 0)
     # run_benchmark raises ValueError only for its arguments (methods,
     # replications, grid, prior, step scale); a chain's numeric failures
     # become failed records instead
     with _config_errors():
+        config = MHConfig(iterations=args.iterations, burnin=args.burnin,
+                          tuning=TuningPolicy(d=args.d), seed=0)
         result = bench_mod.run_benchmark(
             ns, ps, methods, config,
             replications=args.reps,
@@ -628,7 +626,8 @@ def _cmd_benchmark(args) -> int:
 def _config_from_args(args, out: str | None = None) -> RunConfig:
     """The run config in ``--config`` with every flag that was given put
     over it, and ``out``, when given, as its output directory.  A flag the
-    subcommand does not take counts as not given."""
+    subcommand does not take counts as not given.  ``--prior K`` over a
+    prior of another kind keeps only K's keys of it."""
     if not args.config:
         raise ConfigError("--config is required")
     try:
@@ -638,29 +637,28 @@ def _config_from_args(args, out: str | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config {args.config}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
-    overrides = {key: getattr(args, key, None)
-                 for key in ("data", "seed", "iterations", "burnin", "d", "level",
-                             "sampler", "keep_burnin", "cpo")}
-    overrides["out"] = out
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-    if getattr(args, "prior", None) is not None:
-        raw.setdefault("prior", {})["kind"] = args.prior
-    if "data" not in raw or raw["data"] is None:
-        raise ConfigError("no data file given (config 'data' or --data)")
-    try:
-        return RunConfig.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad config: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {args.config} is not a JSON object")
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    flags["out"] = out
+    kind = flags.pop("prior")
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    prior = raw.get("prior", {})
+    if kind is not None and isinstance(prior, dict):
+        if prior.get("kind", "gaussian") != kind:
+            prior = {k: prior[k] for k in _PRIORS[kind] if k in prior}
+        raw["prior"] = {**prior, "kind": kind}
+    return RunConfig.from_dict(raw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # a flag must be spelled in full: a prefix of one is an unknown flag
+    new_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = new_parser(
         prog="poisbayes",
         description="Posterior sampling for Bayesian Poisson log-linear regression.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     def common(p):
         p.add_argument("--data", help="CSV data file (overrides config)")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -270,10 +271,22 @@ class TestCLI:
         {"add_intercept": "no"}, {"keep_burnin": "yes"}, {"cpo": 1},
         {"columns": [{"name": "y", "kind": "response"},
                      {"name": "y", "kind": "numeric", "standardize": "false"}]},
+        # a key the schema does not know is never dropped silently
+        {"iteratons": 60, "burnin": 10},
+        {"prior": {"kind": "horseshoe", "tau": 0.3, "var": 5}},
+        {"columns": [{"name": "y", "kind": "response", "unit": "cm"}]},
+        # a prior is an object, and its numbers are JSON numbers
+        {"prior": "gaussian"},
+        {"prior": {"kind": "horseshoe", "p_n": True}},
+        {"prior": {"kind": "horseshoe", "tau": "0.3"}},
+        {"prior": {"kind": "gaussian", "var": "3"}},
+        {"prior": {"kind": "gaussian", "var": True}},
     ], ids=["pn_ge_n", "pn_zero", "pn_fractional", "pn_text", "pn_list", "pn_inf",
             "tau_negative", "var_zero", "var_nan", "mean_inf",
             "seed_fractional", "iterations_fractional", "burnin_fractional", "seed_bool",
-            "add_intercept_text", "keep_burnin_text", "cpo_int", "standardize_text"])
+            "add_intercept_text", "keep_burnin_text", "cpo_int", "standardize_text",
+            "key_misspelt", "horseshoe_var", "column_unit",
+            "prior_text", "pn_bool", "tau_text", "var_text", "var_bool"])
     def test_out_of_range_prior_exits_2(self, toy_files, overrides, capsys):
         tmp_path, data_path, _ = toy_files
         config_path, _ = run_config(tmp_path, data_path, **overrides)
@@ -289,8 +302,25 @@ class TestCLI:
         bad = write_csv(tmp_path / "cfg.json", "{not json")
         assert run_cli(["fit", "--config", bad]) == 2
 
+    def test_config_not_object_exits_2(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "cfg.json", "[1, 2]")
+        assert run_cli(["fit", "--config", path, "--data", "d.csv"]) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         assert run_cli(["fit", "--nonsense"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--iter", "20", "--burn", "5"],
+        ["diagnose", "--s", "summary.json"],
+    ], ids=["fit_iter_burn", "diagnose_s"])
+    def test_abbreviated_flag_exits_2(self, toy_files, argv, capsys):
+        # a fit first, so that the abbreviations would have run
+        tmp_path, data_path, _ = toy_files
+        config_path, _ = run_config(tmp_path, data_path, iterations=400, burnin=100)
+        assert run_cli(["fit", "--config", config_path]) == 0
+        assert run_cli(argv + ["--config", config_path]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
         ["--seed", "99"], ["--iterations", "7"], ["--burnin", "1"], ["--d", "3.0"],
@@ -301,8 +331,7 @@ class TestCLI:
         tmp_path, data_path, _ = toy_files
         config_path, _ = run_config(tmp_path, data_path)
         assert run_cli(["diagnose", "--config", config_path] + flag) == 2
-        # "--d" is also a prefix of diagnose's --data and --draws
-        assert re.search("unrecognized arguments|ambiguous option", capsys.readouterr().err)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         assert run_cli(["--help"]) == 0
@@ -494,6 +523,19 @@ class TestCLI:
         )
         assert run_cli(["fit", "--config", config_path]) == 0
 
+    @pytest.mark.parametrize("file_prior, echo", [
+        ({"kind": "horseshoe", "tau": 0.3}, {"kind": "gaussian", "mean": 0.0, "var": 2.0}),
+        ({"kind": "gaussian", "mean": 1, "var": 3}, {"kind": "gaussian", "mean": 1.0, "var": 3.0}),
+    ], ids=["switch", "same_kind"])
+    def test_prior_flag(self, toy_files, file_prior, echo):
+        # --prior K keeps only K's keys of a prior of another kind
+        tmp_path, data_path, _ = toy_files
+        config_path, _ = run_config(tmp_path, data_path, iterations=400, burnin=100,
+                                    prior=file_prior)
+        assert run_cli(["fit", "--config", config_path, "--prior", "gaussian"]) == 0
+        summary = json.load(open(tmp_path / "out" / "summary.json"))
+        assert summary["config"]["prior"] == echo
+
     def test_horseshoe_requires_scale(self, toy_files):
         tmp_path, data_path, _ = toy_files
         config_path, _ = run_config(tmp_path, data_path, prior={"kind": "horseshoe"})
@@ -508,12 +550,52 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(data="d.csv", columns=cols, level=1.5)
         with pytest.raises(ConfigError):
-            RunConfig(data="d.csv", columns=(), prior_kind="gaussian")
+            RunConfig(data="d.csv", columns=(), prior={"kind": "gaussian"})
         with pytest.raises(ConfigError):
             ColumnSpec("x", "numerical")
 
     def test_round_trip_dict(self):
         cols = (ColumnSpec("y", "response"), ColumnSpec("x", "numeric", standardize=True))
-        config = RunConfig(data="d.csv", columns=cols, prior_kind="horseshoe", tau=0.2)
+        config = RunConfig(data="d.csv", columns=cols, prior={"kind": "horseshoe", "tau": 0.2})
         again = RunConfig.from_dict(config.to_dict())
         assert again == config
+
+    # RunConfig.to_dict() of these configs at the last change before the
+    # fields became the schema; every fit's outputs echo it
+    @pytest.mark.parametrize("raw, echo", [
+        ({"data": "d.csv",
+          "columns": [{"name": "y", "kind": "response"},
+                      {"name": "x", "kind": "numeric", "standardize": True},
+                      {"name": "grp", "kind": "categorical", "reference_level": "b"}],
+          "prior": {"var": 3, "kind": "gaussian", "mean": 1},
+          "iterations": 2e3, "burnin": 500, "seed": 42, "out": "fit/"},
+         {"data": "d.csv",
+          "columns": [{"name": "y", "kind": "response"},
+                      {"name": "x", "kind": "numeric", "standardize": True},
+                      {"name": "grp", "kind": "categorical", "reference_level": "b"}],
+          "prior": {"kind": "gaussian", "mean": 1.0, "var": 3.0},
+          "sampler": "mh", "iterations": 2000, "burnin": 500, "d": 0.1, "seed": 42,
+          "level": 0.95, "out": "fit/", "add_intercept": True, "keep_burnin": False,
+          "cpo": False}),
+        ({"out": "hs/", "cpo": True, "sampler": "is", "data": "d.csv",
+          "columns": [{"name": "y", "kind": "response"}],
+          "prior": {"p_n": 2, "kind": "horseshoe"}, "d": 0.5, "level": 0.9,
+          "add_intercept": False, "keep_burnin": True},
+         {"data": "d.csv", "columns": [{"name": "y", "kind": "response"}],
+          "prior": {"kind": "horseshoe", "tau": None, "p_n": 2},
+          "sampler": "is", "iterations": 10000, "burnin": 5000, "d": 0.5, "seed": 0,
+          "level": 0.9, "out": "hs/", "add_intercept": False, "keep_burnin": True,
+          "cpo": True}),
+    ], ids=["gaussian_integral_numbers", "horseshoe_p_n"])
+    def test_echo_is_unchanged(self, raw, echo):
+        got = RunConfig.from_dict(raw).to_dict()
+        assert list(got.items()) == list(echo.items())
+        # nested key order and int-or-float too
+        assert json.dumps(got) == json.dumps(echo)
+
+    def test_readme_config_is_the_schema(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+        block = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        assert list(block) == [f.name for f in dataclasses.fields(RunConfig)]
+        echo = RunConfig.from_dict(block).to_dict()
+        assert {key: echo[key] for key in block} == block
